@@ -7,13 +7,17 @@ is full-sequence BPTT with an SSE loss, plain gradient descent (optional
 momentum), per-presentation Gaussian input noise, and early stopping on
 validation SSE.
 
+All parameters live in one flat float64 vector with named views. One time
+loop steps every weight set along the views' leading axes: the two directions
+of a BLSTM layer (the backward one over the reversed input), and the batches
+of perturbed parameter vectors of `gradient_check`.
+
 Gate blocks are stacked row-wise in the order (input, forget, cell, output)
 inside each weight array.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +29,11 @@ from .fusion import NormStats
 
 GATE_ORDER = ("input", "forget", "cell", "output")
 MODEL_FORMAT_VERSION = 1
+# Parameters per batched forward in gradient_check, two weight sets each.
+# Peak memory grows with it: 64 adds about 3 MB on the 8-6 criterion specs.
+GRADCHECK_BATCH = 64
+# Time order in which each direction of a layer reads its input.
+_DIRECTION_TIME = (slice(None), slice(None, None, -1))
 
 
 @dataclass(frozen=True)
@@ -43,17 +52,16 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """Hidden layers and input width of a single-output regressor."""
+
     layers: tuple[LayerSpec, ...]
     input_dim: int
-    output_dim: int = 1
 
     def __post_init__(self):
         if not self.layers:
             raise DataError("network needs at least one hidden layer")
         if self.input_dim < 1:
             raise DataError("input_dim must be >= 1")
-        if self.output_dim != 1:
-            raise DataError("only single-task (output_dim 1) networks are supported")
 
     def layer_widths(self) -> list[tuple[int, int]]:
         """(input width, output width) for each layer, in order."""
@@ -67,42 +75,90 @@ class NetworkSpec:
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
+            "output_dim": 1,
             "layers": [{"kind": l.kind, "size": l.size} for l in self.layers],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkSpec":
+        if doc.get("output_dim", 1) != 1:
+            raise DataError("only single-task (output_dim 1) networks are supported")
         return cls(
             layers=tuple(LayerSpec(l["kind"], int(l["size"])) for l in doc["layers"]),
             input_dim=int(doc["input_dim"]),
-            output_dim=int(doc.get("output_dim", 1)),
         )
 
 
 @dataclass
 class DirectionWeights:
-    """Parameters for one recurrent direction: stacked-gate arrays."""
+    """Stacked-gate parameters of one recurrent direction, or of several
+    stepped together along leading batch axes."""
 
-    w: np.ndarray  # (4H, D) input weights
-    r: np.ndarray  # (4H, H) recurrent weights
-    b: np.ndarray  # (4H,) biases
+    w: np.ndarray  # (..., 4H, D) input weights
+    r: np.ndarray  # (..., 4H, H) recurrent weights
+    b: np.ndarray  # (..., 4H) biases
 
     @property
     def hidden(self) -> int:
-        return self.r.shape[1]
+        return self.r.shape[-1]
 
 
-@dataclass
 class NetworkParams:
-    """All trainable parameters: per layer one or two directions, plus readout."""
+    """All trainable parameters as one flat float64 vector `theta`.
 
-    layers: list[list[DirectionWeights]]
-    w_out: np.ndarray  # (last layer width,)
-    b_out: float
+    `theta` holds w, r and b of each layer and direction in turn, then the
+    readout weights `w_out` and the readout bias `b_out`. `layers[l][k]` is
+    direction k of layer l; `stacked[l]` holds all directions of layer l along
+    an extra axis before the gate axis. Every one of them is a view into
+    `theta`, so writing to a view writes to `theta`. A `theta` of shape
+    (..., P) is a batch of weight sets, and every view carries those axes.
+    """
+
+    def __init__(self, spec: NetworkSpec, theta: np.ndarray | None = None):
+        dims = [  # (directions, units per direction, input width) per layer
+            (1, l.size, d) if l.kind == "lstm" else (2, l.size // 2, d)
+            for l, (d, _) in zip(spec.layers, spec.layer_widths())
+        ]
+        if theta is None:
+            size = sum(n * 4 * h * (d + h + 1) for n, h, d in dims)
+            theta = np.zeros(size + spec.layers[-1].size + 1)
+        # Contiguity makes every reshape below a view, never a copy.
+        self.theta = np.ascontiguousarray(theta, dtype=float)
+        self.spec = spec
+        lead = self.theta.shape[:-1]
+        self.stacked: list[DirectionWeights] = []
+        offset = 0
+        for n_dir, h, in_dim in dims:
+            w_end, r_end = 4 * h * in_dim, 4 * h * (in_dim + h)
+            size = r_end + 4 * h
+            block = self.theta[..., offset : offset + n_dir * size].reshape(lead + (n_dir, size))
+            self.stacked.append(
+                DirectionWeights(
+                    w=block[..., :w_end].reshape(lead + (n_dir, 4 * h, in_dim)),
+                    r=block[..., w_end:r_end].reshape(lead + (n_dir, 4 * h, h)),
+                    b=block[..., r_end:],
+                )
+            )
+            offset += n_dir * size
+        self.layers = [
+            [
+                DirectionWeights(s.w[..., k, :, :], s.r[..., k, :, :], s.b[..., k, :])
+                for k in range(s.b.shape[-2])
+            ]
+            for s in self.stacked
+        ]
+        self.w_out = self.theta[..., offset:-1]
+
+    @property
+    def b_out(self) -> float:
+        return float(self.theta[-1])
+
+    @b_out.setter
+    def b_out(self, value: float) -> None:
+        self.theta[..., -1] = value
 
     def arrays(self):
-        """All parameter arrays in a fixed traversal order (readout last)."""
+        """All parameter arrays except b_out, in `theta` order."""
         for layer in self.layers:
             for d in layer:
                 yield d.w
@@ -111,7 +167,11 @@ class NetworkParams:
         yield self.w_out
 
     def clone(self) -> "NetworkParams":
-        return copy.deepcopy(self)
+        return NetworkParams(self.spec, self.theta.copy())
+
+    def __reduce__(self):
+        # Pickle the buffer once; the views are rebuilt on load.
+        return NetworkParams, (self.spec, self.theta)
 
 
 @dataclass
@@ -153,136 +213,103 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     """Deterministic init: weights uniform in [-0.1, 0.1], biases zero."""
     rng = np.random.default_rng(seed)
-    layers = []
-    for layer, (in_dim, _) in zip(spec.layers, spec.layer_widths()):
-        directions = 1 if layer.kind == "lstm" else 2
-        h = layer.size if layer.kind == "lstm" else layer.size // 2
-        dir_weights = []
-        for _ in range(directions):
-            dir_weights.append(
-                DirectionWeights(
-                    w=rng.uniform(-0.1, 0.1, size=(4 * h, in_dim)),
-                    r=rng.uniform(-0.1, 0.1, size=(4 * h, h)),
-                    b=np.zeros(4 * h),
-                )
-            )
-        layers.append(dir_weights)
-    last_width = spec.layers[-1].size
-    return NetworkParams(
-        layers=layers,
-        w_out=rng.uniform(-0.1, 0.1, size=last_width),
-        b_out=0.0,
-    )
+    params = NetworkParams(spec)
+    for layer in params.layers:
+        for d in layer:
+            d.w[...] = rng.uniform(-0.1, 0.1, size=d.w.shape)
+            d.r[...] = rng.uniform(-0.1, 0.1, size=d.r.shape)
+    params.w_out[...] = rng.uniform(-0.1, 0.1, size=params.w_out.shape)
+    return params
 
 
 def _direction_forward(dw: DirectionWeights, x: np.ndarray):
-    """Run one LSTM direction over x (N, D); returns hidden states and cache."""
-    n = x.shape[0]
+    """Step every direction in dw over its input in one time loop.
+
+    dw's arrays and x (..., N, D) share their leading axes, one weight set
+    per index (x may broadcast). Returns hidden states (..., N, H) and the
+    cache that BPTT reads.
+    """
     h_dim = dw.hidden
-    pre = x @ dw.w.T + dw.b  # (N, 4H)
-    hs = np.empty((n, h_dim))
-    cache = {
-        "i": np.empty((n, h_dim)),
-        "f": np.empty((n, h_dim)),
-        "g": np.empty((n, h_dim)),
-        "o": np.empty((n, h_dim)),
-        "c": np.empty((n, h_dim)),
-        "x": x,
-    }
-    h = np.zeros(h_dim)
-    c = np.zeros(h_dim)
-    for t in range(n):
-        z = pre[t] + dw.r @ h
-        i = _sigmoid(z[:h_dim])
-        f = _sigmoid(z[h_dim : 2 * h_dim])
-        g = np.tanh(z[2 * h_dim : 3 * h_dim])
-        o = _sigmoid(z[3 * h_dim :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        cache["i"][t] = i
-        cache["f"][t] = f
-        cache["g"][t] = g
-        cache["o"][t] = o
-        cache["c"][t] = c
-        hs[t] = h
-    return hs, cache
+    # Input products for all frames; frame t's row is overwritten by its
+    # activated (input, forget, cell, output) gates once it has been read.
+    gates = x @ np.swapaxes(dw.w, -1, -2) + dw.b[..., None, :]  # (..., N, 4H)
+    cs = np.empty(gates.shape[:-1] + (h_dim,))
+    hs = np.empty_like(cs)
+    h = np.zeros(cs.shape[:-2] + (h_dim,))
+    c = h
+    cell = slice(2 * h_dim, 3 * h_dim)
+    for t in range(gates.shape[-2]):
+        z = gates[..., t, :] + (dw.r @ h[..., None])[..., 0]
+        a = _sigmoid(z)
+        a[..., cell] = np.tanh(z[..., cell])
+        c = a[..., h_dim : 2 * h_dim] * c + a[..., :h_dim] * a[..., cell]
+        h = a[..., 3 * h_dim :] * np.tanh(c)
+        gates[..., t, :] = a
+        cs[..., t, :] = c
+        hs[..., t, :] = h
+    return hs, (x, gates, cs, hs)
 
 
-def _direction_backward(dw: DirectionWeights, cache: dict, d_hs: np.ndarray):
-    """BPTT through one direction; returns (gradients, d_inputs)."""
-    x = cache["x"]
-    n, h_dim = d_hs.shape
-    grad = DirectionWeights(
-        w=np.zeros_like(dw.w), r=np.zeros_like(dw.r), b=np.zeros_like(dw.b)
-    )
-    dx = np.zeros_like(x)
-    dh_rec = np.zeros(h_dim)
-    dc_next = np.zeros(h_dim)
-    for t in range(n - 1, -1, -1):
-        i = cache["i"][t]
-        f = cache["f"][t]
-        g = cache["g"][t]
-        o = cache["o"][t]
-        c = cache["c"][t]
-        c_prev = cache["c"][t - 1] if t > 0 else np.zeros(h_dim)
-        dh = d_hs[t] + dh_rec
-        tc = np.tanh(c)
-        do = dh * tc
-        dc = dh * o * (1.0 - tc**2) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_next = dc * f
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ]
-        )
-        grad.w += np.outer(dz, x[t])
-        if t > 0:
-            grad.r += np.outer(dz, _hidden_at(cache, t - 1))
-        grad.b += dz
-        dx[t] = dz @ dw.w
-        dh_rec = dz @ dw.r
-    return grad, dx
+def _direction_backward(
+    dw: DirectionWeights, cache, d_hs: np.ndarray, grad: DirectionWeights
+):
+    """BPTT through every direction in dw; writes the parameter gradients
+    into grad's arrays and returns the input gradients."""
+    x, gates, cs, hs = cache
+    h_dim = dw.hidden
+    i, f, g, o = (gates[..., k * h_dim : (k + 1) * h_dim] for k in range(4))
+    dz_all = np.empty(gates.shape)
+    dh_rec = np.zeros(d_hs.shape[:-2] + (h_dim,))
+    dc_next = dh_rec
+    for t in range(d_hs.shape[-2] - 1, -1, -1):
+        it, ft, gt, ot = (a[..., t, :] for a in (i, f, g, o))
+        tc = np.tanh(cs[..., t, :])
+        c_prev = cs[..., t - 1, :] if t > 0 else 0.0
+        dh = d_hs[..., t, :] + dh_rec
+        dc = dh * ot * (1.0 - tc**2) + dc_next
+        dz = dz_all[..., t, :]
+        dz[..., :h_dim] = dc * gt * it * (1.0 - it)
+        dz[..., h_dim : 2 * h_dim] = dc * c_prev * ft * (1.0 - ft)
+        dz[..., 2 * h_dim : 3 * h_dim] = dc * it * (1.0 - gt**2)
+        dz[..., 3 * h_dim :] = dh * tc * ot * (1.0 - ot)
+        dc_next = dc * ft
+        dh_rec = (dz[..., None, :] @ dw.r)[..., 0, :]
+    dz_t = np.swapaxes(dz_all, -1, -2)
+    np.matmul(dz_t, x, out=grad.w)
+    np.matmul(dz_t[..., 1:], hs[..., :-1, :], out=grad.r)
+    dz_all.sum(axis=-2, out=grad.b)
+    return dz_all @ dw.w
 
 
-def _hidden_at(cache: dict, t: int) -> np.ndarray:
-    """Hidden state at frame t, recomputed from cached gate values."""
-    return cache["o"][t] * np.tanh(cache["c"][t])
-
-
-def _layer_forward(layer_spec: LayerSpec, directions: list[DirectionWeights], x):
-    if layer_spec.kind == "lstm":
-        hs, cache = _direction_forward(directions[0], x)
-        return hs, (cache,)
-    hs_f, cache_f = _direction_forward(directions[0], x)
-    hs_b_rev, cache_b = _direction_forward(directions[1], x[::-1])
-    return np.concatenate([hs_f, hs_b_rev[::-1]], axis=1), (cache_f, cache_b)
+def _layer_forward(dw: DirectionWeights, x: np.ndarray):
+    """Run all directions of one layer (dw arrays (..., directions, 4H, ·))
+    in one time loop and concatenate their outputs."""
+    steps = _DIRECTION_TIME[: dw.b.shape[-2]]
+    xs = np.stack([x[..., s, :] for s in steps], axis=-3)
+    hs, cache = _direction_forward(dw, xs)
+    return np.concatenate([hs[..., k, s, :] for k, s in enumerate(steps)], axis=-1), cache
 
 
 def _layer_backward(
-    layer_spec: LayerSpec,
-    directions: list[DirectionWeights],
-    caches,
-    d_out: np.ndarray,
+    dw: DirectionWeights, cache, d_out: np.ndarray, grad: DirectionWeights
 ):
-    if layer_spec.kind == "lstm":
-        grad, dx = _direction_backward(directions[0], caches[0], d_out)
-        return [grad], dx
-    h_f = directions[0].hidden
-    grad_f, dx_f = _direction_backward(directions[0], caches[0], d_out[:, :h_f])
-    grad_b, dx_b_rev = _direction_backward(
-        directions[1], caches[1], d_out[:, h_f:][::-1]
+    """BPTT through one layer; writes its gradients into grad and returns
+    the gradient of its input."""
+    steps = _DIRECTION_TIME[: dw.b.shape[-2]]
+    h = dw.hidden
+    d_hs = np.stack(
+        [d_out[..., s, k * h : (k + 1) * h] for k, s in enumerate(steps)], axis=-3
     )
-    return [grad_f, grad_b], dx_f + dx_b_rev[::-1]
+    dxs = _direction_backward(dw, cache, d_hs, grad)
+    return sum(dxs[..., k, s, :] for k, s in enumerate(steps))
 
 
 def network_forward(params: NetworkParams, spec: NetworkSpec, x: np.ndarray):
-    """Full forward pass; returns (per-frame predictions, layer caches)."""
+    """Full forward pass; returns (per-frame predictions, layer caches).
+
+    A batched `params` (theta of shape (..., P)) gives predictions of shape
+    (..., N), one row per weight set, from the same time loops.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise DataError(
@@ -291,10 +318,10 @@ def network_forward(params: NetworkParams, spec: NetworkSpec, x: np.ndarray):
         )
     caches = []
     current = x
-    for layer_spec, directions in zip(spec.layers, params.layers):
-        current, cache = _layer_forward(layer_spec, directions, current)
+    for dw in params.stacked:
+        current, cache = _layer_forward(dw, current)
         caches.append(cache)
-    preds = current @ params.w_out + params.b_out
+    preds = (current @ params.w_out[..., None])[..., 0] + params.theta[..., -1:]
     return preds, (caches, current)
 
 
@@ -321,20 +348,13 @@ def bptt_gradients(
     err = preds - targets
     loss = float(np.sum(err**2))
     dy = 2.0 * err  # (N,)
-    grad_w_out = last_h.T @ dy
-    grad_b_out = float(dy.sum())
+    grads = NetworkParams(spec)
+    grads.w_out[...] = last_h.T @ dy
+    grads.b_out = float(dy.sum())
     d_h = np.outer(dy, params.w_out)
-    grad_layers = []
-    for layer_spec, directions, cache in zip(
-        reversed(spec.layers), reversed(params.layers), reversed(caches)
-    ):
-        grads, d_h = _layer_backward(layer_spec, directions, cache, d_h)
-        grad_layers.append(grads)
-    grad_layers.reverse()
-    return (
-        NetworkParams(layers=grad_layers, w_out=grad_w_out, b_out=grad_b_out),
-        loss,
-    )
+    for dw, grad in zip(reversed(params.stacked), reversed(grads.stacked)):
+        d_h = _layer_backward(dw, caches.pop(), d_h, grad)  # frees each cache after use
+    return grads, loss
 
 
 def inject_noise(
@@ -359,28 +379,13 @@ def evaluate_sse(
     return total
 
 
-def _apply_update(params, grads, velocity, lr, momentum):
-    for p, g, v in zip(params.arrays(), grads.arrays(), velocity.arrays()):
-        if momentum > 0:
-            v *= momentum
-            v -= lr * g
-            p += v
-        else:
-            p -= lr * g
-    if momentum > 0:
-        velocity.b_out = momentum * velocity.b_out - lr * grads.b_out
-        params.b_out += velocity.b_out
+def _apply_update(theta, grad, velocity, config: TrainConfig):
+    if config.momentum > 0:
+        velocity *= config.momentum
+        velocity -= config.learning_rate * grad
+        theta += velocity
     else:
-        params.b_out -= lr * grads.b_out
-
-
-def _accumulate(total: NetworkParams | None, grads: NetworkParams) -> NetworkParams:
-    if total is None:
-        return grads
-    for t, g in zip(total.arrays(), grads.arrays()):
-        t += g
-    total.b_out += grads.b_out
-    return total
+        theta -= config.learning_rate * grad
 
 
 def train_network(
@@ -404,10 +409,7 @@ def train_network(
     train = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in train]
     val = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in val]
     params = init_network(spec, config.seed)
-    velocity = init_network(spec, config.seed)
-    for arr in velocity.arrays():
-        arr[...] = 0.0
-    velocity.b_out = 0.0
+    velocity = np.zeros_like(params.theta)
     rng = np.random.default_rng(config.seed)
 
     history: list[tuple[float, float]] = []
@@ -417,21 +419,21 @@ def train_network(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train))
         train_sse = 0.0
-        batch_grads: NetworkParams | None = None
+        batch_grad: np.ndarray | None = None
         batch_count = 0
         for seq_i in order:
             x, y = train[seq_i]
             noisy = inject_noise(x, config.noise_sigma, rng)
             grads, loss = bptt_gradients(params, spec, noisy, y)
             train_sse += loss
-            batch_grads = _accumulate(batch_grads, grads)
+            batch_grad = grads.theta if batch_grad is None else batch_grad + grads.theta
             batch_count += 1
             if batch_count == config.batch_sequences:
-                _apply_update(params, batch_grads, velocity, config.learning_rate, config.momentum)
-                batch_grads = None
+                _apply_update(params.theta, batch_grad, velocity, config)
+                batch_grad = None
                 batch_count = 0
-        if batch_grads is not None:
-            _apply_update(params, batch_grads, velocity, config.learning_rate, config.momentum)
+        if batch_grad is not None:
+            _apply_update(params.theta, batch_grad, velocity, config)
         val_sse = evaluate_sse(params, spec, val)
         if not (np.isfinite(train_sse) and np.isfinite(val_sse)):
             raise DivergenceError(
@@ -481,21 +483,6 @@ def predict_trace(model: TrainedModel, matrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Gradient verification
 
-def _flatten(params: NetworkParams) -> np.ndarray:
-    parts = [arr.ravel() for arr in params.arrays()]
-    parts.append(np.array([params.b_out]))
-    return np.concatenate(parts)
-
-
-def _write_flat(params: NetworkParams, vec: np.ndarray) -> None:
-    offset = 0
-    for arr in params.arrays():
-        n = arr.size
-        arr[...] = vec[offset : offset + n].reshape(arr.shape)
-        offset += n
-    params.b_out = float(vec[offset])
-
-
 @dataclass(frozen=True)
 class GradientCheckReport:
     max_relative_error: float
@@ -511,12 +498,17 @@ def gradient_check(
 ) -> GradientCheckReport:
     """Compare BPTT gradients to central finite differences, parameter by parameter.
 
+    The +step and -step copies of theta for GRADCHECK_BATCH parameters at a
+    time run as one batch of weight sets through the ordinary forward pass;
+    no BPTT code is involved, so the check stays independent of it.
+
     Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-5). The absolute
     floor sits at the noise scale of central differences with this step, so
     components whose true gradient is essentially zero are compared
     absolutely (to ~1e-9) instead of dividing roundoff by roundoff.
     Parameters are drawn from a wider distribution than the training init to
-    keep activations away from full saturation.
+    keep activations away from full saturation. `worst_index` indexes
+    `NetworkParams.theta`.
     """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(sequence_length, spec.input_dim))
@@ -525,24 +517,18 @@ def gradient_check(
     for arr in params.arrays():
         arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
     params.b_out = float(rng.normal(0.0, 0.3))
-    analytic, _ = bptt_gradients(params, spec, x, y)
-    ga = _flatten(analytic)
-
-    theta = _flatten(params)
+    ga = bptt_gradients(params, spec, x, y)[0].theta
+    theta = params.theta
     gn = np.empty_like(ga)
-    work = params.clone()
-    for j in range(len(theta)):
-        for sign, slot in ((+1.0, 0), (-1.0, 1)):
-            perturbed = theta.copy()
-            perturbed[j] += sign * step
-            _write_flat(work, perturbed)
-            preds = predict(work, spec, x)
-            loss = float(np.sum((preds - y) ** 2))
-            if slot == 0:
-                plus = loss
-            else:
-                minus = loss
-        gn[j] = (plus - minus) / (2.0 * step)
+    for start in range(0, len(theta), GRADCHECK_BATCH):
+        index = np.arange(start, min(start + GRADCHECK_BATCH, len(theta)))
+        rows = np.arange(len(index))
+        batch = np.tile(theta, (2, len(index), 1))  # (+step, -step) x parameter
+        batch[0, rows, index] += step
+        batch[1, rows, index] -= step
+        preds = predict(NetworkParams(spec, batch), spec, x)
+        loss = np.sum((preds - y) ** 2, axis=-1)
+        gn[index] = (loss[0] - loss[1]) / (2.0 * step)
     rel = np.abs(ga - gn) / np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-5)
     worst = int(np.argmax(rel))
     return GradientCheckReport(
@@ -555,6 +541,12 @@ def gradient_check(
 # ---------------------------------------------------------------------------
 # Model persistence
 
+def _direction_names(li: int, layer_spec: LayerSpec) -> list[str]:
+    if layer_spec.kind == "lstm":
+        return [f"layer{li}"]
+    return [f"layer{li}_forward", f"layer{li}_backward"]
+
+
 def _direction_to_dict(dw: DirectionWeights) -> dict:
     h = dw.hidden
     doc = {}
@@ -565,26 +557,30 @@ def _direction_to_dict(dw: DirectionWeights) -> dict:
     return doc
 
 
-def _direction_from_dict(doc: dict, in_dim: int, h: int) -> DirectionWeights:
-    w = np.empty((4 * h, in_dim))
-    r = np.empty((4 * h, h))
-    b = np.empty(4 * h)
+def _fill(view: np.ndarray, values, name: str) -> None:
+    """Write a flat list of numbers into a parameter view, checking its length."""
+    flat = np.asarray(values, dtype=float)
+    if flat.shape != (view.size,) or not np.isfinite(flat).all():
+        raise DataError(
+            f"model weights {name}: expected {view.size} finite numbers, got shape {flat.shape}"
+        )
+    view[...] = flat.reshape(view.shape)
+
+
+def _direction_from_dict(doc: dict, dw: DirectionWeights, name: str) -> None:
+    h = dw.hidden
     for gi, gate in enumerate(GATE_ORDER):
-        w[gi * h : (gi + 1) * h] = np.array(doc[f"w_{gate}"]).reshape(h, in_dim)
-        r[gi * h : (gi + 1) * h] = np.array(doc[f"r_{gate}"]).reshape(h, h)
-        b[gi * h : (gi + 1) * h] = np.array(doc[f"b_{gate}"])
-    return DirectionWeights(w=w, r=r, b=b)
+        rows = slice(gi * h, (gi + 1) * h)
+        for prefix, view in (("w", dw.w[rows]), ("r", dw.r[rows]), ("b", dw.b[rows])):
+            _fill(view, doc[f"{prefix}_{gate}"], f"{name}.{prefix}_{gate}")
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
     """Serialize a trained model to JSON with round-trip-exact weights."""
     weights = {}
     for li, (layer_spec, directions) in enumerate(zip(model.spec.layers, model.params.layers)):
-        if layer_spec.kind == "lstm":
-            weights[f"layer{li}"] = _direction_to_dict(directions[0])
-        else:
-            weights[f"layer{li}_forward"] = _direction_to_dict(directions[0])
-            weights[f"layer{li}_backward"] = _direction_to_dict(directions[1])
+        for name, dw in zip(_direction_names(li, layer_spec), directions):
+            weights[name] = _direction_to_dict(dw)
     weights["readout"] = {
         "w": model.params.w_out.tolist(),
         "b": model.params.b_out,
@@ -602,8 +598,20 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def _params_from_dict(spec: NetworkSpec, weights: dict) -> NetworkParams:
+    params = NetworkParams(spec)
+    for li, (layer_spec, directions) in enumerate(zip(spec.layers, params.layers)):
+        for name, dw in zip(_direction_names(li, layer_spec), directions):
+            _direction_from_dict(weights[name], dw, name)
+    readout = weights["readout"]
+    _fill(params.w_out, readout["w"], "readout.w")
+    _fill(params.theta[-1:], [readout["b"]], "readout.b")
+    return params
+
+
 def load_model(path: str | Path) -> TrainedModel:
-    """Load a model JSON; rejects truncated files and version mismatches."""
+    """Load a model JSON; rejects truncated files, version mismatches and
+    weights that do not match the spec."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"model file not found: {path}")
@@ -611,35 +619,21 @@ def load_model(path: str | Path) -> TrainedModel:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"model file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError("model file must hold a JSON object")
     version = doc.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(
             f"model format version mismatch: file has {version!r}, "
             f"expected {MODEL_FORMAT_VERSION}"
         )
-    spec = NetworkSpec.from_dict(doc["spec"])
-    layers = []
-    for li, (layer_spec, (in_dim, _)) in enumerate(
-        zip(spec.layers, spec.layer_widths())
-    ):
-        if layer_spec.kind == "lstm":
-            layers.append(
-                [_direction_from_dict(doc["weights"][f"layer{li}"], in_dim, layer_spec.size)]
-            )
-        else:
-            h = layer_spec.size // 2
-            layers.append(
-                [
-                    _direction_from_dict(doc["weights"][f"layer{li}_forward"], in_dim, h),
-                    _direction_from_dict(doc["weights"][f"layer{li}_backward"], in_dim, h),
-                ]
-            )
-    readout = doc["weights"]["readout"]
-    params = NetworkParams(
-        layers=layers,
-        w_out=np.array(readout["w"], dtype=float),
-        b_out=float(readout["b"]),
-    )
+    try:
+        spec = NetworkSpec.from_dict(doc["spec"])
+        params = _params_from_dict(spec, doc["weights"])
+    except KeyError as exc:
+        raise DataError(f"model file has no {exc.args[0]!r} entry") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"model spec or weights are malformed: {exc}") from exc
     stats = doc.get("norm_stats")
     return TrainedModel(
         spec=spec,

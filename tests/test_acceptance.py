@@ -244,7 +244,7 @@ def test_criterion_7_training_protocol(monkeypatch):
 
         def plateau(params, spec, dataset):
             calls["n"] += 1
-            snapshots.append(nw._flatten(params).copy())
+            snapshots.append(params.theta.copy())
             return float(50 - calls["n"]) if calls["n"] <= 5 else 45.0
 
         monkeypatch.setattr(nw, "evaluate_sse", plateau)
@@ -256,7 +256,7 @@ def test_criterion_7_training_protocol(monkeypatch):
         model = train_network(spec, data, data, config)
         assert len(model.history) == 25
         assert model.metadata["best_epoch"] == 5
-        assert np.array_equal(nw._flatten(model.params), snapshots[4])
+        assert np.array_equal(model.params.theta, snapshots[4])
 
         # max_epochs cap of 100
         calls2 = {"n": 0}
@@ -285,7 +285,7 @@ def test_criterion_7_training_protocol(monkeypatch):
         assert ccc(predict(a.params, a.spec, x), y) >= 0.9
         b = train_network(task_spec, train, val, task_config)
         assert a.history == b.history
-        assert np.array_equal(nw._flatten(a.params), nw._flatten(b.params))
+        assert np.array_equal(a.params.theta, b.params.theta)
 
 
 def test_criterion_8_relative_improvement_arithmetic():

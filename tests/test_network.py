@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -125,8 +126,39 @@ class TestForward:
         x = np.random.default_rng(9).normal(size=(1, 3))
         h_f, _ = nw._direction_forward(params.layers[0][0], x)
         h_b, _ = nw._direction_forward(params.layers[0][1], x)
-        out, _ = nw._layer_forward(blstm.layers[0], params.layers[0], x)
+        out, _ = nw._layer_forward(params.stacked[0], x)
         assert np.array_equal(out, np.concatenate([h_f, h_b], axis=1))
+
+    def test_stacked_weight_sets_match_separate_loops(self):
+        # K weight sets stepped in one time loop give exactly the hidden
+        # states of K separate K=1 loops.
+        rng = np.random.default_rng(11)
+        k, h, d, n = 5, 4, 3, 17
+        dws = [
+            nw.DirectionWeights(
+                w=rng.normal(size=(1, 4 * h, d)),
+                r=rng.normal(size=(1, 4 * h, h)),
+                b=rng.normal(size=(1, 4 * h)),
+            )
+            for _ in range(k)
+        ]
+        xs = rng.normal(size=(k, n, d))
+        stacked = nw.DirectionWeights(
+            *(np.concatenate([getattr(dw, a) for dw in dws]) for a in ("w", "r", "b"))
+        )
+        hs, _ = nw._direction_forward(stacked, xs)
+        for j, dw in enumerate(dws):
+            assert np.array_equal(hs[j : j + 1], nw._direction_forward(dw, xs[j : j + 1])[0])
+
+    @pytest.mark.parametrize("kind", ["lstm", "blstm"])
+    def test_batched_params_match_separate_predictions(self, kind):
+        spec = small_spec(kind)
+        sets = [init_network(spec, seed) for seed in range(3)]
+        x = np.random.default_rng(3).normal(size=(12, 5))
+        batch = nw.NetworkParams(spec, np.stack([p.theta for p in sets]))
+        preds = predict(batch, spec, x)
+        for row, params in zip(preds, sets):
+            assert np.array_equal(row, predict(params, spec, x))
 
 
 class TestGradients:
@@ -145,6 +177,19 @@ class TestGradients:
         report = gradient_check(small_spec(kind), seed=12, sequence_length=20)
         assert report.max_relative_error < 1e-4
 
+    def test_check_catches_corrupted_gradient(self, monkeypatch):
+        real = nw.bptt_gradients
+
+        def corrupted(params, spec, x, targets):
+            grads, loss = real(params, spec, x, targets)
+            grads.theta[100] += 1.0
+            return grads, loss
+
+        monkeypatch.setattr(nw, "bptt_gradients", corrupted)
+        report = gradient_check(small_spec("lstm"), seed=12, sequence_length=20)
+        assert report.max_relative_error > 1e-2
+        assert report.worst_index == 100
+
     def test_length_mismatch(self):
         spec = small_spec()
         params = init_network(spec, 0)
@@ -161,7 +206,7 @@ class TestGradients:
         x = np.zeros((8, 2))
         grads, loss = bptt_gradients(params, spec, x, np.zeros(8))
         assert loss == 0.0
-        assert np.isfinite(nw._flatten(grads)).all()
+        assert np.isfinite(grads.theta).all()
 
 
 class TestNoise:
@@ -210,7 +255,7 @@ class TestTraining:
 
         def fake_evaluate_sse(params, spec, dataset):
             calls["n"] += 1
-            snapshots.append(nw._flatten(params).copy())
+            snapshots.append(params.theta.copy())
             return float(100 - calls["n"]) if calls["n"] <= 5 else 95.0
 
         monkeypatch.setattr(nw, "evaluate_sse", fake_evaluate_sse)
@@ -221,7 +266,7 @@ class TestTraining:
         model = train_network(spec, data, data, config)
         assert len(model.history) == 25
         assert model.metadata["best_epoch"] == 5
-        assert np.array_equal(nw._flatten(model.params), snapshots[4])
+        assert np.array_equal(model.params.theta, snapshots[4])
 
     def test_max_epochs_cap(self, monkeypatch):
         monkeypatch.setattr(nw, "evaluate_sse", lambda *a: 1.0 / (1 + len(a)))
@@ -247,7 +292,7 @@ class TestTraining:
         a = train_network(spec, train, val, config)
         b = train_network(spec, train, val, config)
         assert a.history == b.history
-        assert np.array_equal(nw._flatten(a.params), nw._flatten(b.params))
+        assert np.array_equal(a.params.theta, b.params.theta)
 
     def test_teachable_task_reaches_ccc(self):
         train, val, test = teachable_task()
@@ -364,6 +409,13 @@ class TestPredictTrace:
             predict_trace(model, m)
 
 
+def saved_doc(tmp_path):
+    model, _ = build_model_with_stats()
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    return path, json.loads(path.read_text())
+
+
 class TestPersistence:
     def test_round_trip_predictions(self, tmp_path):
         model, matrix = build_model_with_stats()
@@ -405,3 +457,30 @@ class TestPersistence:
         assert loaded.dimension == "arousal"
         assert loaded.shift_used == 69
         assert loaded.history == [(3.0, 2.0)]
+
+    def test_missing_weights(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        del doc["weights"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="weights"):
+            load_model(path)
+
+    def test_wrong_weight_length(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        doc["weights"]["layer0_backward"]["r_cell"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="layer0_backward.r_cell"):
+            load_model(path)
+
+    def test_output_dim_must_be_one(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        assert doc["spec"]["output_dim"] == 1
+        doc["spec"]["output_dim"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="output_dim"):
+            load_model(path)
+
+    def test_pickled_params_views_share_theta(self):
+        params = pickle.loads(pickle.dumps(init_network(small_spec("blstm"), 0)))
+        views = [*params.arrays(), *(a for s in params.stacked for a in (s.w, s.r, s.b))]
+        assert all(np.shares_memory(v, params.theta) for v in views)
