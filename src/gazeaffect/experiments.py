@@ -15,6 +15,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -133,49 +134,65 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base: Path = Path(".")) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
+        get = partial(_field, doc)
+
+        def resolve(p):
+            return (base / p).resolve()
+
         try:
-            shift_doc = doc.get("shift", {})
             shift = ShiftSettings(
-                anchor_frames={**DEFAULT_ANCHOR_FRAMES, **shift_doc.get("anchor_frames", {})},
-                chosen_frames={**DEFAULT_CHOSEN_FRAMES, **shift_doc.get("chosen_frames", {})},
-                range_seconds=float(shift_doc.get("range_seconds", 1.0)),
-                stride_frames=int(shift_doc.get("stride_frames", 3)),
-                cross_overrides=shift_doc.get("cross_overrides", {}),
+                anchor_frames={**DEFAULT_ANCHOR_FRAMES, **get("shift.anchor_frames", dict, {})},
+                chosen_frames={**DEFAULT_CHOSEN_FRAMES, **get("shift.chosen_frames", dict, {})},
+                range_seconds=get("shift.range_seconds", float, 1.0),
+                stride_frames=get("shift.stride_frames", int, 3),
+                cross_overrides=get("shift.cross_overrides", dict, {}),
             )
-            networks = tuple(
-                NetworkChoice(n["kind"], tuple(int(s) for s in n["sizes"]))
-                for n in doc.get("networks", DEFAULT_NETWORKS)
+            networks = get(
+                "networks",
+                lambda ns: tuple(NetworkChoice(n["kind"], tuple(map(int, n["sizes"]))) for n in ns),
+                DEFAULT_NETWORKS,
             )
-            training = doc.get("training", {})
             return cls(
-                train_manifest=(base / doc["train_manifest"]).resolve(),
-                test_manifest=(
-                    (base / doc["test_manifest"]).resolve()
-                    if doc.get("test_manifest")
-                    else None
-                ),
+                train_manifest=get("train_manifest", resolve, doc["train_manifest"]),  # required
+                test_manifest=get("test_manifest", lambda p: resolve(p) if p else None, None),
                 dimension=doc.get("dimension", "arousal"),
-                modalities=tuple(doc.get("modalities", MODALITIES)),
+                modalities=get("modalities", tuple, MODALITIES),
                 window_seconds={
                     **DEFAULT_WINDOW_SECONDS,
-                    **{k: float(v) for k, v in doc.get("window_seconds", {}).items()},
+                    **get("window_seconds", lambda w: {k: float(v) for k, v in w.items()}, {}),
                 },
                 shift=shift,
                 networks=networks,
-                learning_rates=tuple(float(x) for x in training.get("learning_rates", [1e-5])),
-                seeds=tuple(int(x) for x in training.get("seeds", [1787452436])),
-                max_epochs=int(training.get("max_epochs", 100)),
-                patience_epochs=int(training.get("patience_epochs", 20)),
-                noise_sigma=float(training.get("noise_sigma", 0.1)),
-                momentum=float(training.get("momentum", 0.0)),
-                batch_sequences=int(training.get("batch_sequences", 1)),
-                gaze_columns=doc.get("gaze_columns"),
-                out_dir=(base / doc.get("out_dir", ".")).resolve(),
-                jobs=int(doc.get("jobs", 1)),
+                learning_rates=get(
+                    "training.learning_rates", lambda x: tuple(map(float, x)), [1e-5]
+                ),
+                seeds=get("training.seeds", lambda x: tuple(map(int, x)), [1787452436]),
+                max_epochs=get("training.max_epochs", int, 100),
+                patience_epochs=get("training.patience_epochs", int, 20),
+                noise_sigma=get("training.noise_sigma", float, 0.1),
+                momentum=get("training.momentum", float, 0.0),
+                batch_sequences=get("training.batch_sequences", int, 1),
+                gaze_columns=get("gaze_columns", lambda c: c if c is None else dict(c), None),
+                out_dir=get("out_dir", resolve, "."),
+                jobs=get("jobs", int, 1),
                 cross_both_directions=bool(doc.get("cross_both_directions", False)),
             )
         except KeyError as exc:
             raise ConfigError(f"config missing required field {exc}") from exc
+
+
+def _field(doc: dict, path: str, convert, default):
+    """convert(value at `path`, e.g. "training.max_epochs", or default if
+    absent); a malformed value or section raises ConfigError naming the path."""
+    *sections, key = path.split(".")
+    try:
+        for name in sections:
+            doc = doc.get(name, {})
+        return convert(doc.get(key, default))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {path!r} is invalid: {exc}") from exc
 
 
 @dataclass

@@ -232,7 +232,8 @@ def _direction_forward(dw: DirectionWeights, x: np.ndarray):
     h_dim = dw.hidden
     # Input products for all frames; frame t's row is overwritten by its
     # activated (input, forget, cell, output) gates once it has been read.
-    gates = x @ np.swapaxes(dw.w, -1, -2) + dw.b[..., None, :]  # (..., N, 4H)
+    gates = x @ np.swapaxes(dw.w, -1, -2)  # (..., N, 4H)
+    gates += dw.b[..., None, :]
     cs = np.empty(gates.shape[:-1] + (h_dim,))
     hs = np.empty_like(cs)
     h = np.zeros(cs.shape[:-2] + (h_dim,))
@@ -254,7 +255,7 @@ def _direction_backward(
     dw: DirectionWeights, cache, d_hs: np.ndarray, grad: DirectionWeights
 ):
     """BPTT through every direction in dw; writes the parameter gradients
-    into grad's arrays and returns the input gradients."""
+    into grad's arrays and returns the gate deltas (..., N, 4H)."""
     x, gates, cs, hs = cache
     h_dim = dw.hidden
     i, f, g, o = (gates[..., k * h_dim : (k + 1) * h_dim] for k in range(4))
@@ -278,7 +279,7 @@ def _direction_backward(
     np.matmul(dz_t, x, out=grad.w)
     np.matmul(dz_t[..., 1:], hs[..., :-1, :], out=grad.r)
     dz_all.sum(axis=-2, out=grad.b)
-    return dz_all @ dw.w
+    return dz_all
 
 
 def _layer_forward(dw: DirectionWeights, x: np.ndarray):
@@ -294,14 +295,19 @@ def _layer_backward(
     dw: DirectionWeights, cache, d_out: np.ndarray, grad: DirectionWeights
 ):
     """BPTT through one layer; writes its gradients into grad and returns
-    the gradient of its input."""
+    the gate deltas of its directions."""
     steps = _DIRECTION_TIME[: dw.b.shape[-2]]
     h = dw.hidden
     d_hs = np.stack(
         [d_out[..., s, k * h : (k + 1) * h] for k, s in enumerate(steps)], axis=-3
     )
-    dxs = _direction_backward(dw, cache, d_hs, grad)
-    return sum(dxs[..., k, s, :] for k, s in enumerate(steps))
+    return _direction_backward(dw, cache, d_hs, grad)
+
+
+def _input_gradient(dw: DirectionWeights, dz: np.ndarray) -> np.ndarray:
+    """Gradient of a layer's input from the gate deltas of its directions."""
+    dxs = dz @ dw.w
+    return sum(dxs[..., k, s, :] for k, s in enumerate(_DIRECTION_TIME[: dw.b.shape[-2]]))
 
 
 def network_forward(params: NetworkParams, spec: NetworkSpec, x: np.ndarray):
@@ -310,23 +316,35 @@ def network_forward(params: NetworkParams, spec: NetworkSpec, x: np.ndarray):
     A batched `params` (theta of shape (..., P)) gives predictions of shape
     (..., N), one row per weight set, from the same time loops.
     """
+    caches = []
+    current = _checked_input(spec, x)
+    for dw in params.stacked:
+        current, cache = _layer_forward(dw, current)
+        caches.append(cache)
+    return _readout(params, current), (caches, current)
+
+
+def predict(params: NetworkParams, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
+    """Predictions only: each layer's cache is freed once the next layer has
+    its input, so the peak holds one layer's buffers."""
+    current = _checked_input(spec, x)
+    for dw in params.stacked:
+        current = _layer_forward(dw, current)[0]
+    return _readout(params, current)
+
+
+def _checked_input(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise DataError(
             f"input width {x.shape[-1] if x.ndim == 2 else '?'} != "
             f"network input_dim {spec.input_dim}"
         )
-    caches = []
-    current = x
-    for dw in params.stacked:
-        current, cache = _layer_forward(dw, current)
-        caches.append(cache)
-    preds = (current @ params.w_out[..., None])[..., 0] + params.theta[..., -1:]
-    return preds, (caches, current)
+    return x
 
 
-def predict(params: NetworkParams, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
-    return network_forward(params, spec, x)[0]
+def _readout(params: NetworkParams, h: np.ndarray) -> np.ndarray:
+    return (h @ params.w_out[..., None])[..., 0] + params.theta[..., -1:]
 
 
 def bptt_gradients(
@@ -353,7 +371,9 @@ def bptt_gradients(
     grads.b_out = float(dy.sum())
     d_h = np.outer(dy, params.w_out)
     for dw, grad in zip(reversed(params.stacked), reversed(grads.stacked)):
-        d_h = _layer_backward(dw, caches.pop(), d_h, grad)  # frees each cache after use
+        dz = _layer_backward(dw, caches.pop(), d_h, grad)  # frees each cache after use
+        if caches:  # layer 0's input gradient is never read
+            d_h = _input_gradient(dw, dz)
     return grads, loss
 
 

@@ -215,6 +215,19 @@ class TestExperimentsCommands:
         code = run_cli(["sweep", "--config", str(tmp_path / "nope.json")])
         assert code == 1
 
+    def test_non_numeric_field_exit_1(self, corpus_dir, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", corpus_dir, training={"max_epochs": "ten"})
+        code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "'training.max_epochs'" in capsys.readouterr().err
+
+    def test_top_level_list_exit_1(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps([{"train_manifest": str(corpus_dir / "manifest.json")}]))
+        code = run_cli(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
+
 
 class TestReport:
     def test_rerender(self, corpus_dir, tmp_path):

@@ -103,6 +103,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="train_manifest"):
             ExperimentConfig.from_json(p)
 
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"shift": 5}, "shift.anchor_frames"),
+            ({"shift": {"stride_frames": [3]}}, "shift.stride_frames"),
+            ({"networks": [{"kind": "lstm", "sizes": ["x"]}]}, "networks"),
+            ({"training": {"seeds": 7}}, "training.seeds"),
+            ({"window_seconds": {"arousal": "long"}}, "window_seconds"),
+            ({"jobs": None}, "jobs"),
+            ({"train_manifest": 3}, "train_manifest"),
+        ],
+    )
+    def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):
+        doc = {"train_manifest": str(corpus_dir / "manifest.json"), **extra}
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            ExperimentConfig.from_dict(doc, base=tmp_path)
+
     def test_bad_dimension(self, corpus_dir):
         with pytest.raises(ConfigError, match="dimension"):
             small_config(corpus_dir, dimension="anger")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gazeaffect.gaze_features as gf
 from gazeaffect.gaze_features import (
     GAZE_FEATURE_NAMES,
     FixationParams,
@@ -294,8 +297,92 @@ class TestExtraction:
             matrix = extract_gaze_features(log, WindowSpec(1.0))
             assert np.isfinite(matrix.values).all()
 
-    def test_step_frames(self):
+    @pytest.mark.parametrize("block", [64, 8])
+    def test_block_split_matches_one_block(self, monkeypatch, block):
+        # Windows of one length are gathered in blocks of at most
+        # _BLOCK_SAMPLES samples; a budget of 8 is shorter than one window.
+        log = random_gaze_log(np.random.default_rng(11), 300, p_invalid=0.0)
+        whole = extract_gaze_features(log, WindowSpec(2.0)).values
+        monkeypatch.setattr(gf, "_BLOCK_SAMPLES", block)
+        split = extract_gaze_features(log, WindowSpec(2.0)).values
+        assert np.abs(split - whole).max() < 1e-12
+
+    def test_one_row_per_frame(self):
         rng = np.random.default_rng(10)
         log = random_gaze_log(rng, 100)
-        matrix = extract_gaze_features(log, WindowSpec(2.0, step_frames=10))
-        assert matrix.values.shape == (10, 31)
+        # 10 s covers 250 frames, longer than the 100-frame log.
+        for seconds in (0.04, 0.5, 2.0, 4.0, 10.0):
+            matrix = extract_gaze_features(log, WindowSpec(seconds))
+            assert matrix.values.shape == (100, 31)
+
+
+# Coordinates on a 1/64 grid: sums and differences are exact, and no
+# bounding-box diagonal sqrt(i^2 + j^2) / 64 can fall within rounding of the
+# 0.05 dispersion threshold (3.2 / 64), so the I-DT decisions are unambiguous.
+_coordinates = st.integers(-160, 160).map(lambda i: i / 64.0)
+
+
+@st.composite
+def gaze_logs(draw):
+    n = draw(st.integers(1, 40))
+    style = draw(st.sampled_from(["random", "constant", "clusters"]))
+    if style == "constant":
+        h = np.full(n, draw(_coordinates))
+        v = np.full(n, draw(_coordinates))
+    elif style == "clusters":
+        # Runs around one point, jittered by at most 1/64 per axis (diagonal
+        # under 0.05): fixations that start before a window, or run past its
+        # trailing edge.
+        points = draw(st.lists(st.tuples(_coordinates, _coordinates), min_size=1, max_size=4))
+        lengths = draw(st.lists(st.integers(1, 12), min_size=len(points), max_size=len(points)))
+        n = sum(lengths)
+        jitter = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+        h = np.repeat([p[0] for p in points], lengths) + np.array(draw(jitter)) / 64.0
+        v = np.repeat([p[1] for p in points], lengths) + np.array(draw(jitter)) / 64.0
+    else:
+        h = np.array(draw(st.lists(_coordinates, min_size=n, max_size=n)))
+        v = np.array(draw(st.lists(_coordinates, min_size=n, max_size=n)))
+    closed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        closed[:] = True
+    valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        valid[:] = True
+    h[~valid] = np.nan
+    v[~valid] = np.nan
+    return GazeLog(h=h, v=v, eye_closed=closed, valid=valid, fps=FPS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log=gaze_logs(),
+    seconds=st.sampled_from([0.04, 0.12, 0.2, 0.4, 1.0, 2.0]),
+    min_seconds=st.sampled_from([0.04, 0.1, 0.2]),
+)
+def test_every_row_matches_oracle(log, seconds, min_seconds):
+    """Every frame's row equals the brute-force oracle on its own window.
+
+    Windows of 1-50 frames against minimum fixations of 1-5 frames cover
+    windows shorter than a fixation, fixations cut by the trailing edge and
+    window starts inside a fixation; NaN runs, all-closed and constant logs,
+    and coordinates outside (or below) the zone grid are drawn too.
+    """
+    fixation = FixationParams(min_duration_seconds=min_seconds)
+    matrix = extract_gaze_features(log, WindowSpec(seconds), fixation, ZoneGrid())
+    w = frames_for_duration(seconds, FPS)
+    min_dur = frames_for_duration(min_seconds, FPS)
+    for t in range(len(log)):
+        lo = max(0, t - w + 1)
+        expected = window_features_direct(
+            log.h[lo : t + 1],
+            log.v[lo : t + 1],
+            log.eye_closed[lo : t + 1],
+            log.valid[lo : t + 1],
+            25.0,
+            fixation.dispersion_threshold,
+            min_dur,
+            3,
+            3,
+            DEFAULT_GRID_BOUNDS,
+        )
+        assert np.abs(matrix.values[t] - np.array(expected)).max() < 1e-9, t

@@ -1,5 +1,6 @@
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ class TestForward:
         params.b_out = 0.0
         preds, _ = network_forward(params, spec, np.random.default_rng(0).normal(size=(20, 5)))
         assert np.array_equal(preds, np.zeros(20))
+
+    @pytest.mark.parametrize("kind", ["lstm", "blstm"])
+    def test_predict_frees_layer_caches(self, kind):
+        spec = NetworkSpec(layers=(LayerSpec(kind, 80), LayerSpec(kind, 60)), input_dim=88)
+        params = init_network(spec, 0)
+        x = np.random.default_rng(3).normal(size=(400, 88))
+        peaks, outputs = [], []
+        for run in (lambda: predict(params, spec, x), lambda: network_forward(params, spec, x)[0]):
+            tracemalloc.start()
+            try:
+                outputs.append(run())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(outputs[0], outputs[1])
+        # predict holds one layer's buffers, network_forward keeps both caches
+        assert peaks[0] < 0.75 * peaks[1]
 
     def test_output_length(self):
         spec = small_spec()
@@ -195,6 +213,21 @@ class TestGradients:
         params = init_network(spec, 0)
         with pytest.raises(DataError):
             bptt_gradients(params, spec, np.zeros((5, 5)), np.zeros(4))
+
+    def test_no_input_gradient_for_first_layer(self, monkeypatch):
+        real = nw._input_gradient
+        widths = []
+
+        def counted(dw, dz):
+            widths.append(dw.w.shape[-1])
+            return real(dw, dz)
+
+        monkeypatch.setattr(nw, "_input_gradient", counted)
+        spec = small_spec("blstm", (8, 6, 4))
+        params = init_network(spec, 0)
+        rng = np.random.default_rng(4)
+        bptt_gradients(params, spec, rng.normal(size=(12, 5)), rng.normal(size=12))
+        assert widths == [6, 8]  # layers 2 and 1; never layer 0's 5-wide input
 
     def test_zero_guard_degenerate_check(self):
         # Zero weights + zero targets: every relative error stays defined.
