@@ -69,10 +69,6 @@ class NetworkChoice:
     kind: str  # "lstm" | "blstm"
     sizes: tuple[int, ...]
 
-    @property
-    def label(self) -> str:
-        return self.kind
-
     def build_spec(self, input_dim: int) -> NetworkSpec:
         return NetworkSpec(
             layers=tuple(LayerSpec(self.kind, s) for s in self.sizes),
@@ -120,6 +116,24 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown modality {m!r}")
         if not (self.networks and self.learning_rates and self.seeds):
             raise ConfigError("network/learning-rate/seed grids must be non-empty")
+        try:  # the network and training rules, checked before any data is read
+            for net in self.networks:
+                net.build_spec(1)
+            for lr in self.learning_rates:
+                self.train_config(lr, self.seeds[0])
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def train_config(self, lr: float, seed: int) -> TrainConfig:
+        return TrainConfig(
+            learning_rate=lr,
+            seed=seed,
+            max_epochs=self.max_epochs,
+            patience_epochs=self.patience_epochs,
+            noise_sigma=self.noise_sigma,
+            batch_sequences=self.batch_sequences,
+            momentum=self.momentum,
+        )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -143,15 +157,20 @@ class ExperimentConfig:
 
         try:
             shift = ShiftSettings(
-                anchor_frames={**DEFAULT_ANCHOR_FRAMES, **get("shift.anchor_frames", dict, {})},
-                chosen_frames={**DEFAULT_CHOSEN_FRAMES, **get("shift.chosen_frames", dict, {})},
+                anchor_frames={**DEFAULT_ANCHOR_FRAMES, **get("shift.anchor_frames", _ints, {})},
+                chosen_frames={**DEFAULT_CHOSEN_FRAMES, **get("shift.chosen_frames", _ints, {})},
                 range_seconds=get("shift.range_seconds", float, 1.0),
-                stride_frames=get("shift.stride_frames", int, 3),
-                cross_overrides=get("shift.cross_overrides", dict, {}),
+                stride_frames=get("shift.stride_frames", _int, 3),
+                cross_overrides=get(
+                    "shift.cross_overrides",
+                    lambda d: {k: v if v is None else _int(v) for k, v in d.items()},
+                    {},
+                ),
             )
             networks = get(
                 "networks",
-                lambda ns: tuple(NetworkChoice(n["kind"], tuple(map(int, n["sizes"]))) for n in ns),
+                lambda ns: tuple(NetworkChoice(n["kind"], tuple(map(_int, n["sizes"])))
+                                 for n in ns),
                 DEFAULT_NETWORKS,
             )
             return cls(
@@ -168,15 +187,15 @@ class ExperimentConfig:
                 learning_rates=get(
                     "training.learning_rates", lambda x: tuple(map(float, x)), [1e-5]
                 ),
-                seeds=get("training.seeds", lambda x: tuple(map(int, x)), [1787452436]),
-                max_epochs=get("training.max_epochs", int, 100),
-                patience_epochs=get("training.patience_epochs", int, 20),
+                seeds=get("training.seeds", lambda x: tuple(map(_int, x)), [1787452436]),
+                max_epochs=get("training.max_epochs", _int, 100),
+                patience_epochs=get("training.patience_epochs", _int, 20),
                 noise_sigma=get("training.noise_sigma", float, 0.1),
                 momentum=get("training.momentum", float, 0.0),
-                batch_sequences=get("training.batch_sequences", int, 1),
+                batch_sequences=get("training.batch_sequences", _int, 1),
                 gaze_columns=get("gaze_columns", lambda c: c if c is None else dict(c), None),
                 out_dir=get("out_dir", resolve, "."),
-                jobs=get("jobs", int, 1),
+                jobs=get("jobs", _int, 1),
                 cross_both_directions=bool(doc.get("cross_both_directions", False)),
             )
         except KeyError as exc:
@@ -193,6 +212,17 @@ def _field(doc: dict, path: str, convert, default):
         return convert(doc.get(key, default))
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"config field {path!r} is invalid: {exc}") from exc
+
+
+def _int(value) -> int:
+    """A JSON integer; bools and floats such as 2.9 or 3.0 raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _ints(section: dict) -> dict[str, int]:
+    return {k: _int(v) for k, v in section.items()}
 
 
 @dataclass
@@ -249,8 +279,15 @@ def load_corpus_data(
 ) -> list[RecordingData]:
     """Load and featurize every recording of a corpus for one dimension.
 
-    Recordings with unequal per-modality frame counts are a hard error.
+    Recordings with unequal per-modality frame counts, and corpora whose
+    recordings differ in frame rate, are hard errors.
     """
+    rates = sorted({entry.fps.fps for entry in manifest.recordings})
+    if len(rates) > 1:
+        raise DataError(
+            f"corpus {manifest.corpus_name!r} mixes frame rates "
+            + " and ".join(f"{r:g}" for r in rates) + " fps"
+        )
     need_gaze = "gaze" in modalities or "fused" in modalities
     need_speech = "speech" in modalities or "fused" in modalities
     out = []
@@ -372,27 +409,72 @@ def _score_ccc(model: TrainedModel, pairs, stats) -> float:
     return ccc(np.concatenate(preds), np.concatenate(truths))
 
 
-def _execute(tasks: list[RunTask], jobs: int):
+def _execute(tasks: list[RunTask], jobs: int) -> tuple[ResultsTable, list]:
+    """Run the tasks in order; returns their rows and their models (None for
+    a diverged run)."""
     if jobs <= 1:
-        return [run_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_task, tasks))
-
-
-def _train_config(config: ExperimentConfig, lr: float, seed: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=lr,
-        seed=seed,
-        max_epochs=config.max_epochs,
-        patience_epochs=config.patience_epochs,
-        noise_sigma=config.noise_sigma,
-        batch_sequences=config.batch_sequences,
-        momentum=config.momentum,
-    )
+        results = [run_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run_task, tasks))
+    return ResultsTable(rows=[row for row, _ in results]), [m for _, m in results]
 
 
 # ---------------------------------------------------------------------------
 # Experiment drivers
+
+def _load(config: ExperimentConfig, path: Path, modalities) -> tuple[str, list[RecordingData]]:
+    manifest = load_corpus_manifest(path)
+    window = config.window_seconds[config.dimension]
+    recs = load_corpus_data(manifest, config.dimension, window, config.gaze_columns, modalities)
+    return manifest.corpus_name, recs
+
+
+def _grid(config, modalities, shifts, corpus, test) -> list[RunTask]:
+    """One task per (modality, network, shift, learning rate, seed), in that
+    order. `corpus` is (name, recordings) and supplies the train and
+    validation partitions; `test` is None or (name, test recordings, shift in
+    frames applied to their annotations)."""
+    corpus_name, recs = corpus
+    test_name, test_recs, test_shift = test or ("", None, 0)
+    train = _partition(recs, "train")
+    val = _partition(recs, "validation")
+    tasks = []
+    for modality in modalities:
+        names = train[0].features[modality].names
+        if test_recs and test_recs[0].features[modality].names != names:
+            raise DataError(
+                f"feature-name mismatch between training and test recordings "
+                f"for modality {modality!r}"
+            )
+        sets = {
+            shift: (
+                _prepare_shifted(train, modality, shift),
+                _prepare_shifted(val, modality, shift),
+                _prepare_shifted(test_recs, modality, test_shift) if test_recs else None,
+            )
+            for shift in shifts
+        }
+        for net in config.networks:
+            spec = net.build_spec(len(names))
+            for shift in shifts:
+                for lr in config.learning_rates:
+                    for seed in config.seeds:
+                        row = ResultRow(
+                            dimension=config.dimension,
+                            modality=modality,
+                            network=net.kind,
+                            shift_frames=shift,
+                            seed=seed,
+                            learning_rate=lr,
+                            train_corpus=corpus_name,
+                            test_corpus=test_name,
+                        )
+                        tasks.append(
+                            RunTask(row, spec, config.train_config(lr, seed), *sets[shift])
+                        )
+    return tasks
+
 
 def sweep_shifts(config: ExperimentConfig, fps: float) -> list[int]:
     """Shift grid: anchor +/- range_seconds at the sweep stride, clamped at 0."""
@@ -411,55 +493,15 @@ def run_shift_sweep(
 ) -> tuple[ResultsTable, dict[str, int]]:
     """Train at every shift in the sweep; returns the table and the best shift
     per network kind (argmax of validation CCC)."""
-    manifest = load_corpus_manifest(config.train_manifest)
-    recs = load_corpus_data(
-        manifest,
-        config.dimension,
-        config.window_seconds[config.dimension],
-        config.gaze_columns,
-        modalities=(modality,) if modality != "fused" else MODALITIES,
-    )
-    train = _partition(recs, "train")
-    val = _partition(recs, "validation")
-    fps = train[0].annotation.fps.fps
-    shifts = sweep_shifts(config, fps)
-
-    tasks = []
-    input_dim = train[0].features[modality].n_features
-    for net in config.networks:
-        for shift in shifts:
-            train_set = _prepare_shifted(train, modality, shift)
-            val_set = _prepare_shifted(val, modality, shift)
-            for lr in config.learning_rates:
-                for seed in config.seeds:
-                    row = ResultRow(
-                        dimension=config.dimension,
-                        modality=modality,
-                        network=net.label,
-                        shift_frames=shift,
-                        seed=seed,
-                        learning_rate=lr,
-                        train_corpus=manifest.corpus_name,
-                    )
-                    tasks.append(
-                        RunTask(
-                            row=row,
-                            spec=net.build_spec(input_dim),
-                            train_config=_train_config(config, lr, seed),
-                            train_set=train_set,
-                            val_set=val_set,
-                            test_set=None,
-                        )
-                    )
-    results = _execute(tasks, config.jobs)
-    table = ResultsTable(rows=[row for row, _ in results])
+    corpus = _load(config, config.train_manifest, (modality,))
+    fps = _partition(corpus[1], "train")[0].annotation.fps.fps
+    tasks = _grid(config, (modality,), sweep_shifts(config, fps), corpus, None)
+    table, _ = _execute(tasks, config.jobs)
     best: dict[str, int] = {}
     for net in config.networks:
-        candidates = [
-            r for r in table.rows if r.network == net.label and r.status == "ok"
-        ]
+        candidates = [r for r in table.rows if r.network == net.kind and r.status == "ok"]
         if candidates:
-            best[net.label] = max(candidates, key=lambda r: r.val_ccc).shift_frames
+            best[net.kind] = max(candidates, key=lambda r: r.val_ccc).shift_frames
     return table, best
 
 
@@ -468,50 +510,12 @@ def run_intra_corpus(
 ) -> tuple[ResultsTable, dict[str, dict]]:
     """Unimodal/bimodal runs at the chosen shift for every (modality, network)
     cell; reports the relative improvement of fused over the best unimodal."""
-    manifest = load_corpus_manifest(config.train_manifest)
-    recs = load_corpus_data(
-        manifest,
-        config.dimension,
-        config.window_seconds[config.dimension],
-        config.gaze_columns,
-        modalities=config.modalities,
-    )
-    train = _partition(recs, "train")
-    val = _partition(recs, "validation")
-    test = [r for r in recs if r.partition == "test"] or None
+    name, recs = corpus = _load(config, config.train_manifest, config.modalities)
     shift = config.shift.chosen_frames[config.dimension]
-
-    tasks = []
-    for modality in config.modalities:
-        input_dim = train[0].features[modality].n_features
-        train_set = _prepare_shifted(train, modality, shift)
-        val_set = _prepare_shifted(val, modality, shift)
-        test_set = _prepare_shifted(test, modality, shift) if test else None
-        for net in config.networks:
-            for lr in config.learning_rates:
-                for seed in config.seeds:
-                    row = ResultRow(
-                        dimension=config.dimension,
-                        modality=modality,
-                        network=net.label,
-                        shift_frames=shift,
-                        seed=seed,
-                        learning_rate=lr,
-                        train_corpus=manifest.corpus_name,
-                        test_corpus=manifest.corpus_name if test else "",
-                    )
-                    tasks.append(
-                        RunTask(
-                            row=row,
-                            spec=net.build_spec(input_dim),
-                            train_config=_train_config(config, lr, seed),
-                            train_set=train_set,
-                            val_set=val_set,
-                            test_set=test_set,
-                        )
-                    )
-    results = _execute(tasks, config.jobs)
-    table = ResultsTable(rows=[row for row, _ in results])
+    test_recs = [r for r in recs if r.partition == "test"]
+    test = (name, test_recs, shift) if test_recs else None
+    tasks = _grid(config, config.modalities, [shift], corpus, test)
+    table, _ = _execute(tasks, config.jobs)
     improvements = {}
     for net in config.networks:
         selected = {}
@@ -519,7 +523,7 @@ def run_intra_corpus(
             cell = [
                 r
                 for r in table.rows
-                if r.network == net.label and r.modality == modality and r.status == "ok"
+                if r.network == net.kind and r.modality == modality and r.status == "ok"
             ]
             if cell:
                 selected[modality] = min(cell, key=lambda r: r.val_sse)
@@ -530,7 +534,7 @@ def run_intra_corpus(
             if unimodal:
                 best_uni = max(unimodal)
                 fused = selected["fused"].val_ccc
-                improvements[net.label] = {
+                improvements[net.kind] = {
                     "fused_ccc": fused,
                     "best_unimodal_ccc": best_uni,
                     "relative_improvement": relative_improvement(fused, best_uni),
@@ -551,92 +555,34 @@ def run_cross_corpus(config: ExperimentConfig) -> tuple[ResultsTable, list[Train
     rate, honoring any configured override."""
     if config.test_manifest is None:
         raise ConfigError("cross-corpus run requires a test manifest")
-    manifest_a = load_corpus_manifest(config.train_manifest)
-    manifest_b = load_corpus_manifest(config.test_manifest)
-    directions = [(manifest_a, manifest_b)]
-    if config.cross_both_directions:
-        directions.append((manifest_b, manifest_a))
-
-    table = ResultsTable()
-    models: list[TrainedModel] = []
-    for train_manifest, test_manifest in directions:
-        rows, run_models = _cross_direction(config, train_manifest, test_manifest)
-        table.rows.extend(rows)
-        models.extend(run_models)
-    return table, models
-
-
-def _cross_direction(config, train_manifest, test_manifest):
-    window = config.window_seconds[config.dimension]
-    train_recs = load_corpus_data(
-        train_manifest, config.dimension, window, config.gaze_columns, config.modalities
-    )
-    test_recs = load_corpus_data(
-        test_manifest, config.dimension, window, config.gaze_columns, config.modalities
-    )
-    train = _partition(train_recs, "train")
-    val = _partition(train_recs, "validation")
-    test = _partition(test_recs, "test")
-
-    shift_a = config.shift.chosen_frames[config.dimension]
-    fps_a = train[0].annotation.fps
-    fps_b = test[0].annotation.fps
-    conversion = convert_shift(
-        ShiftSpec(shift_a, fps_a),
-        fps_b,
-        override=config.shift.cross_overrides.get(config.dimension),
-    )
-    shift_b = conversion.shift.frames
-
-    tasks = []
-    for modality in config.modalities:
-        a_names = train[0].features[modality].names
-        b_names = test[0].features[modality].names
-        if a_names != b_names:
-            raise DataError(
-                f"feature-name mismatch between corpora for modality {modality!r}"
-            )
-        input_dim = len(a_names)
-        train_set = _prepare_shifted(train, modality, shift_a)
-        val_set = _prepare_shifted(val, modality, shift_a)
-        test_set = _prepare_shifted(test, modality, shift_b)
-        for net in config.networks:
-            for lr in config.learning_rates:
-                for seed in config.seeds:
-                    row = ResultRow(
-                        dimension=config.dimension,
-                        modality=modality,
-                        network=net.label,
-                        shift_frames=shift_a,
-                        seed=seed,
-                        learning_rate=lr,
-                        train_corpus=train_manifest.corpus_name,
-                        test_corpus=test_manifest.corpus_name,
-                    )
-                    tasks.append(
-                        RunTask(
-                            row=row,
-                            spec=net.build_spec(input_dim),
-                            train_config=_train_config(config, lr, seed),
-                            train_set=train_set,
-                            val_set=val_set,
-                            test_set=test_set,
-                        )
-                    )
-    results = _execute(tasks, config.jobs)
-    rows = []
-    models = []
-    for row, model in results:
+    a = _load(config, config.train_manifest, config.modalities)
+    b = _load(config, config.test_manifest, config.modalities)
+    shift = config.shift.chosen_frames[config.dimension]
+    directions = [(a, b), (b, a)] if config.cross_both_directions else [(a, b)]
+    tasks, conversions = [], []
+    for corpus, (test_name, test_recs) in directions:
+        test = _partition(test_recs, "test")
+        conversion = convert_shift(
+            ShiftSpec(shift, _partition(corpus[1], "train")[0].annotation.fps),
+            test[0].annotation.fps,
+            override=config.shift.cross_overrides.get(config.dimension),
+        )
+        grid = _grid(
+            config, config.modalities, [shift], corpus,
+            (test_name, test, conversion.shift.frames),
+        )
+        tasks += grid
+        conversions += [conversion] * len(grid)
+    table, models = _execute(tasks, config.jobs)
+    for model, conversion in zip(models, conversions):
         if model is not None:
             model.metadata["shift_conversion"] = {
-                "train_shift_frames": shift_a,
-                "test_shift_frames": shift_b,
+                "train_shift_frames": shift,
+                "test_shift_frames": conversion.shift.frames,
                 "computed_frames": conversion.computed_frames,
                 "override_frames": conversion.override_frames,
             }
-            models.append(model)
-        rows.append(row)
-    return rows, models
+    return table, [m for m in models if m is not None]
 
 
 # ---------------------------------------------------------------------------

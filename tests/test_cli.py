@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,44 @@ class TestExperimentsCommands:
         code = run_cli(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_non_integer_shift_exit_1(self, corpus_dir, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "c.json", corpus_dir, shift={"chosen_frames": {"arousal": "3"}}
+        )
+        code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'shift.chosen_frames'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"networks": [{"kind": "gru", "sizes": [8]}]}, "unknown layer kind"),
+            ({"training": {"max_epochs": 3, "patience_epochs": 3}}, "patience_epochs"),
+        ],
+    )
+    def test_grid_value_exit_1_before_data(self, corpus_dir, tmp_path, capsys, extra, message):
+        # the manifest does not exist: reading data first would exit 2
+        config = write_config(
+            tmp_path / "c.json", corpus_dir,
+            train_manifest=str(tmp_path / "missing.json"), **extra,
+        )
+        code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_mixed_frame_rates_exit_2(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "mixed"
+        shutil.copytree(corpus_dir, corpus)
+        doc = json.loads((corpus / "manifest.json").read_text())
+        doc["recordings"][2]["fps"] = 30.0
+        (corpus / "manifest.json").write_text(json.dumps(doc))
+        config = write_config(tmp_path / "c.json", corpus)
+        code = run_cli(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                        "--modality", "speech"])
+        assert code == 2
+        assert "mixes frame rates 25 and 30 fps" in capsys.readouterr().err
 
 
 class TestReport:

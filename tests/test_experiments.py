@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gazeaffect import experiments
 from gazeaffect.errors import ConfigError, DataError
 from gazeaffect.experiments import (
     DEFAULT_ANCHOR_FRAMES,
@@ -113,12 +114,44 @@ class TestConfig:
             ({"window_seconds": {"arousal": "long"}}, "window_seconds"),
             ({"jobs": None}, "jobs"),
             ({"train_manifest": 3}, "train_manifest"),
+            ({"training": {"max_epochs": 2.9}}, "training.max_epochs"),
+            ({"training": {"patience_epochs": True}}, "training.patience_epochs"),
+            ({"training": {"batch_sequences": 1.0}}, "training.batch_sequences"),
+            ({"training": {"seeds": [1.5]}}, "training.seeds"),
+            ({"jobs": True}, "jobs"),
+            ({"shift": {"stride_frames": 3.5}}, "shift.stride_frames"),
+            ({"networks": [{"kind": "lstm", "sizes": [8.0]}]}, "networks"),
+            ({"shift": {"anchor_frames": {"arousal": 2.5}}}, "shift.anchor_frames"),
+            ({"shift": {"chosen_frames": {"arousal": "3"}}}, "shift.chosen_frames"),
+            ({"shift": {"cross_overrides": {"arousal": False}}}, "shift.cross_overrides"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):
         doc = {"train_manifest": str(corpus_dir / "manifest.json"), **extra}
         with pytest.raises(ConfigError, match=f"'{field}'"):
             ExperimentConfig.from_dict(doc, base=tmp_path)
+
+    def test_cross_overrides_int_or_null(self, tmp_path, corpus_dir):
+        doc = {
+            "train_manifest": str(corpus_dir / "manifest.json"),
+            "shift": {"cross_overrides": {"arousal": None, "valence": 4}},
+        }
+        config = ExperimentConfig.from_dict(doc, base=tmp_path)
+        assert config.shift.cross_overrides == {"arousal": None, "valence": 4}
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(networks=(NetworkChoice("gru", (8,)),)), "unknown layer kind"),
+            (dict(networks=(NetworkChoice("blstm", (7,)),)), "even"),
+            (dict(patience_epochs=3), "patience_epochs"),
+            (dict(learning_rates=(1e-3, 0.0)), "learning rate"),
+            (dict(batch_sequences=0), "batch_sequences"),
+        ],
+    )
+    def test_grid_values_are_config_errors(self, corpus_dir, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(corpus_dir, **overrides)
 
     def test_bad_dimension(self, corpus_dir):
         with pytest.raises(ConfigError, match="dimension"):
@@ -316,6 +349,74 @@ class TestCrossCorpus:
         )
         with pytest.raises(DataError, match="feature-name mismatch"):
             run_cross_corpus(config)
+
+
+@pytest.fixture(scope="module")
+def corpus_30fps(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus30")
+    generate_synthetic_corpus(
+        SyntheticCorpusSpec(name="thirty", seed=15, frames=240, fps=30.0,
+                            train_recordings=2, validation_recordings=1,
+                            test_recordings=1),
+        root,
+    )
+    return root
+
+
+class TestGridExecution:
+    def test_jobs_2_matches_jobs_1_intra(self, corpus_dir):
+        config = small_config(corpus_dir, seeds=(7, 8))
+        serial, serial_imp = run_intra_corpus(config)
+        config.jobs = 2
+        pooled, pooled_imp = run_intra_corpus(config)
+        assert pooled.rows == serial.rows
+        assert pooled_imp == serial_imp
+
+    def test_jobs_2_matches_jobs_1_cross(self, corpus_dir, corpus_30fps):
+        config = small_config(
+            corpus_dir,
+            test_manifest=corpus_30fps / "manifest.json",
+            modalities=("speech", "fused"),
+            seeds=(7, 8),
+            cross_both_directions=True,
+        )
+        serial, serial_models = run_cross_corpus(config)
+        config.jobs = 2
+        pooled, pooled_models = run_cross_corpus(config)
+        assert pooled.rows == serial.rows
+        assert len(pooled_models) == len(serial_models) == len(serial.rows)
+        for a, b in zip(pooled_models, serial_models):
+            assert a.metadata == b.metadata
+            assert np.array_equal(a.params.theta, b.params.theta)
+
+    def test_cross_both_directions_featurize_each_corpus_once(
+        self, corpus_dir, corpus_30fps, monkeypatch
+    ):
+        calls = []
+        load = experiments.load_corpus_data
+
+        def counting(manifest, *args, **kwargs):
+            calls.append(manifest.corpus_name)
+            return load(manifest, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "load_corpus_data", counting)
+        config = small_config(
+            corpus_dir,
+            test_manifest=corpus_30fps / "manifest.json",
+            modalities=("speech",),
+            networks=(NetworkChoice("lstm", (8,)),),
+            shift=ShiftSettings(chosen_frames={"arousal": 5, "valence": 5}),
+            cross_both_directions=True,
+        )
+        table, models = run_cross_corpus(config)
+        assert calls == ["synth", "thirty"]
+        assert [(r.train_corpus, r.test_corpus) for r in table.rows] == [
+            ("synth", "thirty"),
+            ("thirty", "synth"),
+        ]
+        # 5 frames: 6 at 30 fps, and 5 * 25 / 30 rounds to 4 at 25 fps
+        conv = [m.metadata["shift_conversion"]["test_shift_frames"] for m in models]
+        assert conv == [6, 4]
 
 
 def toy_table():
