@@ -6,13 +6,11 @@ divergence in a non-sweep run.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
 from .experiments import (
@@ -30,8 +28,10 @@ from .metrics import ccc, pearson, sse
 from .network import save_model
 from .synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
 from .timeline import (
+    FeatureMatrix,
     FrameRate,
     load_annotation_csv,
+    load_annotation_values,
     load_feature_csv,
     load_gaze_log_csv,
     parse_gaze_columns_flag,
@@ -87,30 +87,8 @@ def shift_cmd(annotations, frames, dimension, fps, out_path):
     rate = FrameRate(fps)
     trace = load_annotation_csv(annotations, dimension, rate)
     shifted = shift_annotations(trace, ShiftSpec(frames, rate))
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value"])
-        for v in shifted.values:
-            writer.writerow([repr(float(v))])
+    save_feature_csv(FeatureMatrix(("value",), shifted.values[:, None], rate), out_path)
     click.echo(f"wrote {len(shifted)} shifted values to {out_path}")
-
-
-def _read_value_csv(path: str) -> np.ndarray:
-    """Single 'value' column reader without the [-1, 1] range check."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        col = 1 if [c.lower() for c in header] == ["frame", "value"] else 0
-        try:
-            values = [float(row[col]) for row in reader if row]
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric value ({exc})") from exc
-    if not values:
-        raise DataError(f"{path}: no values")
-    return np.array(values)
 
 
 @cli.command("evaluate")
@@ -120,8 +98,8 @@ def _read_value_csv(path: str) -> np.ndarray:
               type=click.Choice(["ccc", "pearson", "sse"]))
 def evaluate_cmd(pred, truth, metric):
     """Score a prediction CSV against a ground-truth CSV."""
-    x = _read_value_csv(pred)
-    y = _read_value_csv(truth)
+    x = load_annotation_values(pred)
+    y = load_annotation_values(truth)
     fn = {"ccc": ccc, "pearson": pearson, "sse": sse}[metric]
     click.echo(f"{metric} = {fn(x, y):.6f}")
 
@@ -254,9 +232,6 @@ def main(argv=None) -> None:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(1)
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)

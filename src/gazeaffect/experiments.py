@@ -157,13 +157,17 @@ class ExperimentConfig:
 
         try:
             shift = ShiftSettings(
-                anchor_frames={**DEFAULT_ANCHOR_FRAMES, **get("shift.anchor_frames", _ints, {})},
-                chosen_frames={**DEFAULT_CHOSEN_FRAMES, **get("shift.chosen_frames", _ints, {})},
+                anchor_frames={
+                    **DEFAULT_ANCHOR_FRAMES, **get("shift.anchor_frames", _each(_int), {})
+                },
+                chosen_frames={
+                    **DEFAULT_CHOSEN_FRAMES, **get("shift.chosen_frames", _each(_shift), {})
+                },
                 range_seconds=get("shift.range_seconds", float, 1.0),
                 stride_frames=get("shift.stride_frames", _int, 3),
                 cross_overrides=get(
                     "shift.cross_overrides",
-                    lambda d: {k: v if v is None else _int(v) for k, v in d.items()},
+                    _each(lambda v: v if v is None else _shift(v)),
                     {},
                 ),
             )
@@ -196,7 +200,7 @@ class ExperimentConfig:
                 gaze_columns=get("gaze_columns", lambda c: c if c is None else dict(c), None),
                 out_dir=get("out_dir", resolve, "."),
                 jobs=get("jobs", _int, 1),
-                cross_both_directions=bool(doc.get("cross_both_directions", False)),
+                cross_both_directions=get("cross_both_directions", _bool, False),
             )
         except KeyError as exc:
             raise ConfigError(f"config missing required field {exc}") from exc
@@ -221,8 +225,23 @@ def _int(value) -> int:
     return value
 
 
-def _ints(section: dict) -> dict[str, int]:
-    return {k: _int(v) for k, v in section.items()}
+def _shift(value) -> int:
+    """A non-negative JSON integer number of frames."""
+    if _int(value) < 0:
+        raise ValueError(f"shift frames must be non-negative, got {value}")
+    return value
+
+
+def _bool(value) -> bool:
+    """A JSON boolean; strings such as "false" raise TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _each(convert):
+    """convert applied to every value of a JSON object."""
+    return lambda section: {k: convert(v) for k, v in section.items()}
 
 
 @dataclass

@@ -436,38 +436,40 @@ def train_network(
     best_val = np.inf
     best_params = params.clone()
     best_epoch = 0
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(train))
-        train_sse = 0.0
-        batch_grad: np.ndarray | None = None
-        batch_count = 0
-        for seq_i in order:
-            x, y = train[seq_i]
-            noisy = inject_noise(x, config.noise_sigma, rng)
-            grads, loss = bptt_gradients(params, spec, noisy, y)
-            train_sse += loss
-            batch_grad = grads.theta if batch_grad is None else batch_grad + grads.theta
-            batch_count += 1
-            if batch_count == config.batch_sequences:
+    # DivergenceError reports a diverging run, so its overflows are not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(len(train))
+            train_sse = 0.0
+            batch_grad: np.ndarray | None = None
+            batch_count = 0
+            for seq_i in order:
+                x, y = train[seq_i]
+                noisy = inject_noise(x, config.noise_sigma, rng)
+                grads, loss = bptt_gradients(params, spec, noisy, y)
+                train_sse += loss
+                batch_grad = grads.theta if batch_grad is None else batch_grad + grads.theta
+                batch_count += 1
+                if batch_count == config.batch_sequences:
+                    _apply_update(params.theta, batch_grad, velocity, config)
+                    batch_grad = None
+                    batch_count = 0
+            if batch_grad is not None:
                 _apply_update(params.theta, batch_grad, velocity, config)
-                batch_grad = None
-                batch_count = 0
-        if batch_grad is not None:
-            _apply_update(params.theta, batch_grad, velocity, config)
-        val_sse = evaluate_sse(params, spec, val)
-        if not (np.isfinite(train_sse) and np.isfinite(val_sse)):
-            raise DivergenceError(
-                f"non-finite loss at epoch {epoch} "
-                f"(last finite epoch: {epoch - 1})",
-                last_finite_epoch=epoch - 1,
-            )
-        history.append((train_sse, val_sse))
-        if val_sse < best_val:
-            best_val = val_sse
-            best_params = params.clone()
-            best_epoch = epoch
-        if epoch - best_epoch >= config.patience_epochs:
-            break
+            val_sse = evaluate_sse(params, spec, val)
+            if not (np.isfinite(train_sse) and np.isfinite(val_sse)):
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch} "
+                    f"(last finite epoch: {epoch - 1})",
+                    last_finite_epoch=epoch - 1,
+                )
+            history.append((train_sse, val_sse))
+            if val_sse < best_val:
+                best_val = val_sse
+                best_params = params.clone()
+                best_epoch = epoch
+            if epoch - best_epoch >= config.patience_epochs:
+                break
     meta = {
         "seed": config.seed,
         "learning_rate": config.learning_rate,

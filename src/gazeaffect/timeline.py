@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,9 +126,7 @@ class AnnotationTrace:
             raise DataError(f"unknown dimension {self.dimension!r}")
         if len(self.values) < 1:
             raise DataError("annotation trace is empty")
-        if not np.isfinite(self.values).all():
-            raise DataError("annotation trace contains non-finite values")
-        bad = np.flatnonzero((self.values < -1.0) | (self.values > 1.0))
+        bad = np.flatnonzero(~((self.values >= -1.0) & (self.values <= 1.0)))  # nan too
         if bad.size:
             raise DataError(
                 f"annotation value {self.values[bad[0]]} out of [-1, 1] "
@@ -209,54 +208,73 @@ def load_corpus_manifest(path: str | Path) -> CorpusManifest:
     )
 
 
-def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_numeric_csv(path: Path, usecols=None) -> tuple[list[str], np.ndarray]:
+    """Read a CSV of one header row and numeric rows, skipping blank lines.
+
+    `usecols(header)` gives the indices of the columns to parse, in order
+    (all columns when None). Every row must have one cell per header name;
+    cells of the other columns may hold anything. Returns the header and a
+    (rows, columns) float64 matrix.
+    """
     if not path.is_file():
         raise DataError(f"file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, errors="replace") as fh:  # an undecodable byte fails as a cell
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DataError(f"empty file: {path}")
+        cols = range(len(header)) if usecols is None else usecols(header)
+        # cells outside `cols` are read as 0 and dropped, so only the width is checked
+        skipped = {j: lambda cell: 0.0 for j in range(len(header)) if j not in cols}
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        rows = [row for row in reader if row]
-    return header, rows
+            with warnings.catch_warnings():  # a body with no rows is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                  ndmin=2, converters=skipped)
+            if len(data) and data.shape[1] != len(header):
+                raise ValueError(f"{data.shape[1]} cells per row")
+        except ValueError as exc:
+            raise _parse_error(path, header, cols, str(exc)) from None
+    if not len(data):
+        raise DataError(f"{path}: no frames (header-only file)")
+    return header, data if usecols is None else data[:, cols]
 
 
-def _parse_cell(raw: str, path: Path, row: int, col: int) -> float:
+def _parse_error(path: Path, header: list[str], cols, reason: str) -> DataError:
+    """The first ragged row or non-numeric cell of a file the parser rejected."""
+    with open(path, errors="replace") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for i, row in enumerate(filter(None, rows)):
+        if len(row) != len(header):
+            return DataError(f"{path}: ragged row {i}: {len(row)} cells, expected {len(header)}")
+        for j in cols:
+            if not _is_number(row[j]):
+                return DataError(
+                    f"{path}: non-numeric cell {row[j]!r} at data row {i}, column {j}"
+                )
+    return DataError(f"{path}: {reason}")
+
+
+def _is_number(cell: str) -> bool:
+    """Whether np.loadtxt reads `cell`: what float() reads, less '_' and non-ASCII digits."""
     try:
-        return float(raw)
+        float(cell)
     except ValueError:
-        raise DataError(
-            f"{path}: non-numeric cell {raw!r} at data row {row}, column {col}"
-        ) from None
+        return False
+    return cell.strip().isascii() and "_" not in cell
 
 
 def load_feature_csv(path: str | Path, fps: FrameRate) -> FeatureMatrix:
     """Load a feature CSV (header of feature names, one row per frame)."""
-    path = Path(path)
-    header, rows = _read_csv_rows(path)
-    if not rows:
-        raise DataError(f"{path}: no frames (header-only file)")
-    width = len(header)
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(
-                f"{path}: ragged row {i}: {len(row)} cells, expected {width}"
-            )
-        for j, raw in enumerate(row):
-            data[i, j] = _parse_cell(raw, path, i, j)
+    header, data = _read_numeric_csv(Path(path))
     return FeatureMatrix(names=tuple(header), values=data, fps=fps)
 
 
 def save_feature_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     """Write a FeatureMatrix as CSV with round-trip-exact decimal formatting."""
-    path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(matrix.names)
-        for row in matrix.values:
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerows(map(repr, row) for row in matrix.values.tolist())
 
 
 def load_gaze_log_csv(
@@ -270,71 +288,54 @@ def load_gaze_log_csv(
     """
     path = Path(path)
     column_map = dict(DEFAULT_GAZE_COLUMNS if column_map is None else column_map)
-    header, rows = _read_csv_rows(path)
-    if not rows:
-        raise DataError(f"{path}: no frames")
-    col_index = {name: i for i, name in enumerate(header)}
-    indices = {}
-    for logical in ("h", "v", "eye_closed", "valid"):
-        physical = column_map.get(logical)
-        if physical is None or physical not in col_index:
-            raise DataError(
-                f"{path}: cannot map required gaze column {logical!r} "
-                f"(looked for {physical!r} in {header})"
-            )
-        indices[logical] = col_index[physical]
-    frame_idx = col_index.get(column_map.get("frame", "frame"))
 
-    n = len(rows)
-    h = np.empty(n)
-    v = np.empty(n)
-    closed = np.zeros(n, dtype=bool)
-    valid = np.zeros(n, dtype=bool)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: ragged row {i}")
-        if frame_idx is not None:
-            idx = int(_parse_cell(row[frame_idx], path, i, frame_idx))
-            if idx != i:
+    def columns(header):
+        col_index = {name: i for i, name in enumerate(header)}
+        frame = col_index.get(column_map.get("frame", "frame"))
+        cols = [] if frame is None else [frame]
+        for logical in ("h", "v", "eye_closed", "valid"):
+            physical = column_map.get(logical)
+            if physical not in col_index:
                 raise DataError(
-                    f"{path}: non-contiguous frame index at frame {i} (got {idx})"
+                    f"{path}: cannot map required gaze column {logical!r} "
+                    f"(looked for {physical!r} in {header})"
                 )
-        valid[i] = _parse_cell(row[indices["valid"]], path, i, indices["valid"]) != 0
-        closed[i] = (
-            _parse_cell(row[indices["eye_closed"]], path, i, indices["eye_closed"])
-            != 0
-        )
-        h[i] = _parse_cell(row[indices["h"]], path, i, indices["h"])
-        v[i] = _parse_cell(row[indices["v"]], path, i, indices["v"])
-    return GazeLog(h=h, v=v, eye_closed=closed, valid=valid, fps=fps)
+            cols.append(col_index[physical])
+        return cols
 
-
-def load_annotation_csv(
-    path: str | Path, dimension: str, fps: FrameRate
-) -> AnnotationTrace:
-    """Load an annotation CSV: single 'value' column, or 'frame,value'."""
-    path = Path(path)
-    header, rows = _read_csv_rows(path)
-    if not rows:
-        raise DataError(f"{path}: no annotation values")
-    lowered = [c.strip().lower() for c in header]
-    if lowered == ["value"]:
-        value_col = 0
-    elif lowered == ["frame", "value"]:
-        value_col = 1
-    else:
-        raise DataError(
-            f"{path}: annotation header must be 'value' or 'frame,value', "
-            f"got {header}"
-        )
-    values = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        values[i] = _parse_cell(row[value_col], path, i, value_col)
-        if not -1.0 <= values[i] <= 1.0:
+    _, data = _read_numeric_csv(path, columns)
+    *frame, h, v, closed, valid = np.ascontiguousarray(data.T)
+    if frame:
+        index = np.trunc(frame[0])
+        bad = np.flatnonzero(index != np.arange(len(index)))
+        if bad.size:
             raise DataError(
-                f"{path}: annotation value {values[i]} out of [-1, 1] at frame {i}"
+                f"{path}: non-contiguous frame index at frame {bad[0]} (got {index[bad[0]]:.0f})"
             )
-    return AnnotationTrace(dimension=dimension, values=values, fps=fps)
+    return GazeLog(h=h, v=v, eye_closed=closed != 0, valid=valid != 0, fps=fps)
+
+
+def load_annotation_values(path: str | Path) -> np.ndarray:
+    """Read the values of a 'value' or 'frame,value' CSV, with no range check."""
+    path = Path(path)
+
+    def value_column(header):
+        if [c.strip().lower() for c in header] not in (["value"], ["frame", "value"]):
+            raise DataError(
+                f"{path}: annotation header must be 'value' or 'frame,value', got {header}"
+            )
+        return [len(header) - 1]
+
+    return _read_numeric_csv(path, value_column)[1][:, 0]
+
+
+def load_annotation_csv(path: str | Path, dimension: str, fps: FrameRate) -> AnnotationTrace:
+    """Load an annotation CSV: single 'value' column, or 'frame,value'."""
+    values = load_annotation_values(path)
+    try:
+        return AnnotationTrace(dimension, values, fps)
+    except DataError as exc:  # a value outside [-1, 1], named by its frame
+        raise DataError(f"{path}: {exc}") from None
 
 
 def parse_gaze_columns_flag(flag: str) -> dict[str, str]:

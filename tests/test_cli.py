@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gazeaffect
 from gazeaffect.cli import main
 from gazeaffect.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
 from gazeaffect.timeline import FrameRate, load_feature_csv
@@ -134,6 +138,16 @@ class TestShiftAndEvaluate:
         ])
         assert code == 1
 
+    def test_evaluate_non_numeric_exit_2(self, corpus_dir, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("value\n0.1\nhigh\n")
+        code = run_cli([
+            "evaluate", "--pred", str(pred),
+            "--truth", str(corpus_dir / "train00_arousal.csv"),
+        ])
+        assert code == 2
+        assert "non-numeric cell 'high' at data row 1, column 0" in capsys.readouterr().err
+
     def test_evaluate_perfect_ccc(self, corpus_dir, capsys):
         code = run_cli([
             "evaluate", "--pred", str(corpus_dir / "train00_arousal.csv"),
@@ -197,6 +211,24 @@ class TestExperimentsCommands:
         # results are still written before the failure is reported
         assert (out / "intra_results.csv").is_file()
 
+    def test_divergence_prints_no_numpy_warnings(self, corpus_dir, tmp_path):
+        # a subprocess, so stderr is what a user sees: pytest records warnings itself
+        config = write_config(
+            tmp_path / "c.json", corpus_dir,
+            training={"learning_rates": [1e30, 1e-3], "seeds": [7], "max_epochs": 3,
+                      "patience_epochs": 2},
+        )
+        src = Path(gazeaffect.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "gazeaffect.cli", "train", "--config", str(config),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 3
+        assert "training diverged: 1 of 2" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+
     def test_cross_eval(self, corpus_dir, tmp_path):
         other = tmp_path / "other"
         run_cli(["synth", "--out-dir", str(other), "--name", "other",
@@ -243,6 +275,9 @@ class TestExperimentsCommands:
         [
             ({"networks": [{"kind": "gru", "sizes": [8]}]}, "unknown layer kind"),
             ({"training": {"max_epochs": 3, "patience_epochs": 3}}, "patience_epochs"),
+            ({"shift": {"chosen_frames": {"arousal": -3}}}, "'shift.chosen_frames'"),
+            ({"shift": {"cross_overrides": {"arousal": -3}}}, "'shift.cross_overrides'"),
+            ({"cross_both_directions": "false"}, "'cross_both_directions'"),
         ],
     )
     def test_grid_value_exit_1_before_data(self, corpus_dir, tmp_path, capsys, extra, message):

@@ -124,6 +124,10 @@ class TestConfig:
             ({"shift": {"anchor_frames": {"arousal": 2.5}}}, "shift.anchor_frames"),
             ({"shift": {"chosen_frames": {"arousal": "3"}}}, "shift.chosen_frames"),
             ({"shift": {"cross_overrides": {"arousal": False}}}, "shift.cross_overrides"),
+            ({"shift": {"chosen_frames": {"arousal": -3}}}, "shift.chosen_frames"),
+            ({"shift": {"cross_overrides": {"arousal": -1}}}, "shift.cross_overrides"),
+            ({"cross_both_directions": "false"}, "cross_both_directions"),
+            ({"cross_both_directions": 1}, "cross_both_directions"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):

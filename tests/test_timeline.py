@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gazeaffect.errors import DataError
 from gazeaffect.timeline import (
@@ -9,6 +12,7 @@ from gazeaffect.timeline import (
     FrameRate,
     frames_for_duration,
     load_annotation_csv,
+    load_annotation_values,
     load_corpus_manifest,
     load_feature_csv,
     load_gaze_log_csv,
@@ -87,6 +91,73 @@ class TestFeatureCsv:
         assert back.names == m.names
         assert np.array_equal(back.values, m.values)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+            elements=st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
+        )
+    )
+    def test_round_trip_bit_exact_property(self, tmp_path_factory, values):
+        m = FeatureMatrix(
+            names=tuple(f"f{j}" for j in range(values.shape[1])),
+            values=values,
+            fps=FrameRate(25.0),
+        )
+        p = tmp_path_factory.mktemp("rt") / "rt.csv"
+        save_feature_csv(m, p)
+        back = load_feature_csv(p, FrameRate(25.0)).values
+        assert back.shape == values.shape
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("1,2\n\n3,4\n\n", [[1, 2], [3, 4]]),  # blank lines are skipped
+            ('"1.5","2"\n3,-4e1\n', [[1.5, 2], [3, -40]]),  # quoted cells
+            (" 1 , 2 \r\n3,4\r\n", [[1, 2], [3, 4]]),
+        ],
+    )
+    def test_accepted_layouts(self, tmp_path, fps25, body, expected):
+        p = tmp_path / "f.csv"
+        p.write_text("a,b\n" + body)
+        assert np.array_equal(load_feature_csv(p, fps25).values, expected)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2\n#1,4\n", "non-numeric cell '#1' at data row 1, column 0"),
+            ("1,2\n3,\n", "non-numeric cell '' at data row 1, column 1"),
+            # float() reads these; numpy's parser does not, and the message names them
+            ("\xa01,2\n3,1_000\n", "non-numeric cell '1_000' at data row 1, column 1"),
+            ("1,\uff12\n", "non-numeric cell '\uff12' at data row 0, column 1"),
+            ("1,2\n  \n3,4\n", "ragged row 1: 1 cells, expected 2"),
+            ("1,2\n3,4,5\n", "ragged row 1: 3 cells, expected 2"),
+            ("1,2\n3\n", "ragged row 1: 1 cells, expected 2"),
+            ("1\n2\n", "ragged row 0: 1 cells, expected 2"),
+            ("\n\n", "no frames"),
+        ],
+    )
+    def test_rejected_layouts(self, tmp_path, fps25, body, message):
+        p = tmp_path / "f.csv"
+        p.write_text("a,b\n" + body)
+        with pytest.raises(DataError, match=message):
+            load_feature_csv(p, fps25)
+
+    def test_non_utf8_cell(self, tmp_path, fps25):
+        p = tmp_path / "f.csv"
+        p.write_bytes(b"a,b\n1,2\n\xff,3\n")
+        with pytest.raises(DataError, match="non-numeric cell '\ufffd' at data row 1, column 0"):
+            load_feature_csv(p, fps25)
+
+    def test_empty_file(self, tmp_path, fps25):
+        p = tmp_path / "f.csv"
+        p.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            load_feature_csv(p, fps25)
+
     def test_row_count_preserved(self, tmp_path, fps25):
         p = tmp_path / "f.csv"
         p.write_text("a\n" + "\n".join(str(i * 0.1) for i in range(37)) + "\n")
@@ -126,6 +197,36 @@ class TestGazeCsv:
         with pytest.raises(DataError, match="frame 5"):
             load_gaze_log_csv(p, fps25)
 
+    def test_unparseable_frame_index(self, tmp_path, fps25):
+        p = tmp_path / "g.csv"
+        self._write(p, ["0,0.1,0.1,0,1", "nan,0.1,0.1,0,1"])
+        with pytest.raises(DataError, match=r"frame 1 \(got nan\)"):
+            load_gaze_log_csv(p, fps25)
+
+    def test_unmapped_column_may_be_non_numeric(self, tmp_path, fps25):
+        p = tmp_path / "g.csv"
+        self._write(p, ["a,0,0.1,0.2,0,1", '"b, c",1,0.3,0.4,1,0'],
+                    header="label,frame,h,v,eye_closed,valid")
+        log = load_gaze_log_csv(p, fps25)
+        assert np.array_equal(log.h, [0.1, 0.3]) and np.array_equal(log.v, [0.2, 0.4])
+        assert log.eye_closed.tolist() == [False, True]
+        assert log.valid.tolist() == [True, False]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,0.1,0.1,0,1", "1,0.1,0.1,0,1,7"], "ragged row 1"),
+            (["0,0.1,0.1,0,1", "1,0.1,0.1,0"], "ragged row 1"),
+            (["0,0.1,0.1,0,1", " "], "ragged row 1"),
+            (["0,0.1,0.1,0,1", "1,0.1,up,0,1"], "non-numeric cell 'up' at data row 1, column 2"),
+        ],
+    )
+    def test_rejected_rows(self, tmp_path, fps25, rows, message):
+        p = tmp_path / "g.csv"
+        self._write(p, rows)
+        with pytest.raises(DataError, match=message):
+            load_gaze_log_csv(p, fps25)
+
     def test_invalid_frames_retained(self, tmp_path, fps25):
         p = tmp_path / "g.csv"
         self._write(p, ["0,0.1,0.1,0,1", "1,0.2,0.2,0,0", "2,0.3,0.3,0,1"])
@@ -161,6 +262,26 @@ class TestAnnotationCsv:
         p = tmp_path / "a.csv"
         p.write_text("value\n")
         with pytest.raises(DataError):
+            load_annotation_csv(p, "arousal", fps25)
+
+    def test_non_finite_is_out_of_range(self, tmp_path, fps25):
+        p = tmp_path / "a.csv"
+        p.write_text("value\n0.2\nnan\n")
+        with pytest.raises(DataError, match="value nan out of"):
+            load_annotation_csv(p, "arousal", fps25)
+
+    def test_frame_column_is_not_parsed(self, tmp_path, fps25):
+        p = tmp_path / "a.csv"
+        p.write_text("Frame , Value\nt0,0.1\nt1,-0.2\n")
+        trace = load_annotation_csv(p, "valence", fps25)
+        assert np.array_equal(trace.values, [0.1, -0.2])
+
+    def test_values_have_no_range_check(self, tmp_path, fps25):
+        p = tmp_path / "a.csv"
+        p.write_text("value\n0.2\n1.5\n")
+        assert np.array_equal(load_annotation_values(p), [0.2, 1.5])
+        message = r"a\.csv: annotation value 1\.5 out of \[-1, 1\] at frame 1"
+        with pytest.raises(DataError, match=message):
             load_annotation_csv(p, "arousal", fps25)
 
 
