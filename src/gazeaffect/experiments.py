@@ -16,6 +16,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,12 @@ class ExperimentConfig:
         for m in self.modalities:
             if m not in MODALITIES:
                 raise ConfigError(f"unknown modality {m!r}")
+        if not all(0 < w < math.inf for w in self.window_seconds.values()):
+            raise ConfigError(f"config field 'window_seconds' needs finite seconds > 0, "
+                              f"got {self.window_seconds}")
+        if not 0 <= self.shift.range_seconds < math.inf:
+            raise ConfigError(f"config field 'shift.range_seconds' needs finite seconds >= 0, "
+                              f"got {self.shift.range_seconds}")
         if not (self.networks and self.learning_rates and self.seeds):
             raise ConfigError("network/learning-rate/seed grids must be non-empty")
         try:  # the network and training rules, checked before any data is read
@@ -181,17 +188,14 @@ class ExperimentConfig:
                 train_manifest=get("train_manifest", resolve, doc["train_manifest"]),  # required
                 test_manifest=get("test_manifest", lambda p: resolve(p) if p else None, None),
                 dimension=doc.get("dimension", "arousal"),
-                modalities=get("modalities", tuple, MODALITIES),
+                modalities=get("modalities", _list(str), MODALITIES),
                 window_seconds={
-                    **DEFAULT_WINDOW_SECONDS,
-                    **get("window_seconds", lambda w: {k: float(v) for k, v in w.items()}, {}),
+                    **DEFAULT_WINDOW_SECONDS, **get("window_seconds", _each(float), {})
                 },
                 shift=shift,
                 networks=networks,
-                learning_rates=get(
-                    "training.learning_rates", lambda x: tuple(map(float, x)), [1e-5]
-                ),
-                seeds=get("training.seeds", lambda x: tuple(map(_int, x)), [1787452436]),
+                learning_rates=get("training.learning_rates", _list(float), [1e-5]),
+                seeds=get("training.seeds", _list(_int), [1787452436]),
                 max_epochs=get("training.max_epochs", _int, 100),
                 patience_epochs=get("training.patience_epochs", _int, 20),
                 noise_sigma=get("training.noise_sigma", float, 0.1),
@@ -244,6 +248,19 @@ def _each(convert):
     return lambda section: {k: convert(v) for k, v in section.items()}
 
 
+def _list(convert):
+    """convert applied to every item of a JSON list; a string or number is not a list."""
+    def convert_all(items) -> tuple:
+        if not isinstance(items, (list, tuple)):
+            raise TypeError(f"expected a list, got {items!r}")
+        return tuple(map(convert, items))
+    return convert_all
+
+
+# A results row's grid point, in report and sort order.
+_KEY_COLUMNS = ("dimension", "modality", "network", "shift_frames", "seed", "learning_rate")
+
+
 @dataclass
 class ResultRow:
     dimension: str
@@ -265,17 +282,7 @@ class ResultsTable:
     rows: list[ResultRow] = field(default_factory=list)
 
     def sorted_rows(self) -> list[ResultRow]:
-        return sorted(
-            self.rows,
-            key=lambda r: (
-                r.dimension,
-                r.modality,
-                r.network,
-                r.shift_frames,
-                r.seed,
-                r.learning_rate,
-            ),
-        )
+        return sorted(self.rows, key=attrgetter(*_KEY_COLUMNS))
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +347,7 @@ def load_corpus_data(
             features["fused"] = fuse_features(
                 features["speech"], features["gaze"], "speech", "gaze"
             )
-        out.append(
-            RecordingData(
-                id=entry.id,
-                partition=entry.partition,
-                features=features,
-                annotation=annotation,
-            )
-        )
+        out.append(RecordingData(entry.id, entry.partition, features, annotation))
     return out
 
 
@@ -419,13 +419,11 @@ def run_task(task: RunTask) -> tuple[ResultRow, TrainedModel | None]:
 
 def _score_ccc(model: TrainedModel, pairs, stats) -> float:
     """CCC between concatenated predictions and targets, in annotation units."""
-    preds = []
-    truths = []
-    for f, t in pairs:
-        x = normalize_features(f, stats)
-        preds.append(denormalize_target(predict(model.params, model.spec, x), stats))
-        truths.append(t.values)
-    return ccc(np.concatenate(preds), np.concatenate(truths))
+    preds = [
+        denormalize_target(predict(model.params, model.spec, normalize_features(f, stats)), stats)
+        for f, _ in pairs
+    ]
+    return ccc(np.concatenate(preds), np.concatenate([t.values for _, t in pairs]))
 
 
 def _execute(tasks: list[RunTask], jobs: int) -> tuple[ResultsTable, list]:
@@ -498,13 +496,9 @@ def _grid(config, modalities, shifts, corpus, test) -> list[RunTask]:
 def sweep_shifts(config: ExperimentConfig, fps: float) -> list[int]:
     """Shift grid: anchor +/- range_seconds at the sweep stride, clamped at 0."""
     anchor = config.shift.anchor_frames[config.dimension]
-    radius = int(round(config.shift.range_seconds * fps))
     stride = max(1, config.shift.stride_frames)
-    steps = radius // stride
-    shifts = sorted(
-        {max(0, anchor + k * stride) for k in range(-steps, steps + 1)}
-    )
-    return shifts
+    steps = int(round(config.shift.range_seconds * fps)) // stride
+    return sorted({max(0, anchor + k * stride) for k in range(-steps, steps + 1)})
 
 
 def run_shift_sweep(
@@ -607,19 +601,7 @@ def run_cross_corpus(config: ExperimentConfig) -> tuple[ResultsTable, list[Train
 # ---------------------------------------------------------------------------
 # Report rendering
 
-_REPORT_COLUMNS = (
-    "dimension",
-    "modality",
-    "network",
-    "shift_frames",
-    "seed",
-    "learning_rate",
-    "val_ccc",
-    "test_ccc",
-    "train_corpus",
-    "test_corpus",
-    "status",
-)
+_REPORT_COLUMNS = _KEY_COLUMNS + ("val_ccc", "test_ccc", "train_corpus", "test_corpus", "status")
 
 
 def _cell(row: ResultRow, col: str) -> str:
@@ -673,34 +655,42 @@ def save_results_csv(table: ResultsTable, path: str | Path) -> None:
     render_report(table, "csv", path)
 
 
+def _ccc_cell(raw: str) -> float:
+    """A CCC cell of a results CSV: empty or "div" read as nan."""
+    return math.nan if raw in ("", "div") else float(raw)
+
+
 def load_results_csv(path: str | Path) -> ResultsTable:
-    """Read back a CSV report into a ResultsTable."""
+    """Read back a CSV report into a ResultsTable; a missing or malformed
+    cell raises DataError naming its row and column."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"results file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            def _f(key):
-                raw = rec.get(key, "")
-                if raw in ("", "div"):
-                    return math.nan
-                return float(raw)
+    rows = []
+    with open(path, newline="", errors="replace") as fh:
+        for i, rec in enumerate(csv.DictReader(fh), start=1):
+            def cell(col, convert=str, default=None):
+                raw = rec.get(col, default)  # None: no such column, or a short row
+                if raw is None:
+                    raise DataError(f"{path}: data row {i} has no {col!r} cell")
+                try:
+                    return convert(raw)
+                except ValueError:
+                    raise DataError(f"{path}: bad {col!r} cell {raw!r} at data row {i}") from None
 
             rows.append(
                 ResultRow(
-                    dimension=rec["dimension"],
-                    modality=rec["modality"],
-                    network=rec["network"],
-                    shift_frames=int(rec["shift_frames"]),
-                    seed=int(rec["seed"]),
-                    learning_rate=float(rec["learning_rate"]),
-                    val_ccc=_f("val_ccc"),
-                    test_ccc=None if rec.get("test_ccc", "") == "" else _f("test_ccc"),
-                    status=rec.get("status", "ok"),
-                    train_corpus=rec.get("train_corpus", ""),
-                    test_corpus=rec.get("test_corpus", ""),
+                    dimension=cell("dimension"),
+                    modality=cell("modality"),
+                    network=cell("network"),
+                    shift_frames=cell("shift_frames", int),
+                    seed=cell("seed", int),
+                    learning_rate=cell("learning_rate", float),
+                    val_ccc=cell("val_ccc", _ccc_cell, ""),
+                    test_ccc=cell("test_ccc", lambda raw: _ccc_cell(raw) if raw else None, ""),
+                    status=cell("status", default="ok"),
+                    train_corpus=cell("train_corpus", default=""),
+                    test_corpus=cell("test_corpus", default=""),
                 )
             )
     return ResultsTable(rows=rows)

@@ -206,10 +206,6 @@ class TrainedModel:
     metadata: dict = field(default_factory=dict)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     """Deterministic init: weights uniform in [-0.1, 0.1], biases zero."""
     rng = np.random.default_rng(seed)
@@ -227,57 +223,86 @@ def _direction_forward(dw: DirectionWeights, x: np.ndarray):
 
     dw's arrays and x (..., N, D) share their leading axes, one weight set
     per index (x may broadcast). Returns hidden states (..., N, H) and the
-    cache that BPTT reads.
+    cache that BPTT reads. The buffers are time-major, (N, ..., width), so
+    each step reads and writes contiguous rows.
     """
     h_dim = dw.hidden
+    lead = np.broadcast_shapes(x.shape[:-2], dw.b.shape[:-1])
     # Input products for all frames; frame t's row is overwritten by its
     # activated (input, forget, cell, output) gates once it has been read.
-    gates = x @ np.swapaxes(dw.w, -1, -2)  # (..., N, 4H)
-    gates += dw.b[..., None, :]
+    gates = np.empty(x.shape[-2:-1] + lead + (4 * h_dim,))
+    np.matmul(x, np.swapaxes(dw.w, -1, -2), out=np.moveaxis(gates, 0, -2))
+    gates += dw.b
     cs = np.empty(gates.shape[:-1] + (h_dim,))
     hs = np.empty_like(cs)
-    h = np.zeros(cs.shape[:-2] + (h_dim,))
-    c = h
+    h = c = np.zeros(lead + (h_dim,))
+    rec, tmp = np.empty(lead + (4 * h_dim, 1)), np.empty_like(h)
     cell = slice(2 * h_dim, 3 * h_dim)
-    for t in range(gates.shape[-2]):
-        z = gates[..., t, :] + (dw.r @ h[..., None])[..., 0]
-        a = _sigmoid(z)
-        a[..., cell] = np.tanh(z[..., cell])
-        c = a[..., h_dim : 2 * h_dim] * c + a[..., :h_dim] * a[..., cell]
-        h = a[..., 3 * h_dim :] * np.tanh(c)
-        gates[..., t, :] = a
-        cs[..., t, :] = c
-        hs[..., t, :] = h
-    return hs, (x, gates, cs, hs)
+    for t in range(len(gates)):
+        z = gates[t]
+        np.matmul(dw.r, h[..., None], out=rec)
+        z += rec[..., 0]
+        np.tanh(z[..., cell], out=tmp)
+        np.negative(z, out=z)  # logistic sigmoid 1 / (1 + exp(-z)), in place
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        z[..., cell] = tmp
+        c = np.multiply(z[..., h_dim : 2 * h_dim], c, out=cs[t])
+        c += np.multiply(z[..., :h_dim], tmp, out=tmp)
+        h = np.tanh(c, out=hs[t])
+        h *= z[..., 3 * h_dim :]
+    return np.moveaxis(hs, 0, -2), (x, gates, cs, hs)
 
 
 def _direction_backward(
     dw: DirectionWeights, cache, d_hs: np.ndarray, grad: DirectionWeights
 ):
     """BPTT through every direction in dw; writes the parameter gradients
-    into grad's arrays and returns the gate deltas (..., N, 4H)."""
+    into grad's arrays and returns the gate deltas (..., N, 4H).
+
+    Everything but the dh and dc recurrences is computed for the whole
+    sequence before the time loop; the cache's buffers are overwritten.
+    """
     x, gates, cs, hs = cache
     h_dim = dw.hidden
-    i, f, g, o = (gates[..., k * h_dim : (k + 1) * h_dim] for k in range(4))
-    dz_all = np.empty(gates.shape)
-    dh_rec = np.zeros(d_hs.shape[:-2] + (h_dim,))
-    dc_next = dh_rec
-    for t in range(d_hs.shape[-2] - 1, -1, -1):
-        it, ft, gt, ot = (a[..., t, :] for a in (i, f, g, o))
-        tc = np.tanh(cs[..., t, :])
-        c_prev = cs[..., t - 1, :] if t > 0 else 0.0
-        dh = d_hs[..., t, :] + dh_rec
-        dc = dh * ot * (1.0 - tc**2) + dc_next
-        dz = dz_all[..., t, :]
-        dz[..., :h_dim] = dc * gt * it * (1.0 - it)
-        dz[..., h_dim : 2 * h_dim] = dc * c_prev * ft * (1.0 - ft)
-        dz[..., 2 * h_dim : 3 * h_dim] = dc * it * (1.0 - gt**2)
-        dz[..., 3 * h_dim :] = dh * tc * ot * (1.0 - ot)
-        dc_next = dc * ft
-        dh_rec = (dz[..., None, :] @ dw.r)[..., 0, :]
+    quad = gates.shape[:-1] + (4, h_dim)
+    i, f, g, o = np.moveaxis(gates.reshape(quad), -2, 0)
+    # dz holds each frame's delta multipliers until the loop scales them into
+    # gate deltas: the (i, f, g) block by dc and the o block by dh.
+    dz = np.empty(quad)
+    m_i, m_f, m_g, m_o = np.moveaxis(dz, -2, 0)
+    for m, a in ((m_i, i), (m_f, f), (m_o, o)):  # logistic slopes a * (1 - a)
+        np.subtract(1.0, a, out=m)
+        m *= a
+    m_i *= g
+    m_f[:1] = 0.0  # the cell state before the first frame is 0
+    m_f[1:] *= cs[:-1]
+    np.multiply(g, g, out=m_g)
+    np.subtract(1.0, m_g, out=m_g)
+    m_g *= i
+    tc = np.tanh(cs, out=cs)
+    m_o *= tc
+    dc_dh = np.multiply(tc, tc, out=g)  # o * (1 - tanh(c)^2), over the dead g rows
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    d_hs = np.moveaxis(d_hs, -2, 0)
+    dh_rec = np.zeros(gates.shape[1:-1] + (1, h_dim))
+    dh = dh_rec[..., 0, :]
+    dc, tmp = np.zeros_like(dh), np.empty_like(dh)
+    ifg = dz[..., :3, :]
+    dz_rows = dz.reshape(gates.shape[:-1] + (1, 4 * h_dim))
+    for t in range(len(gates) - 1, -1, -1):
+        np.add(d_hs[t], dh, out=dh)
+        dc += np.multiply(dh, dc_dh[t], out=tmp)
+        np.multiply(dc[..., None, :], ifg[t], out=ifg[t])
+        np.multiply(dh, m_o[t], out=m_o[t])
+        dc *= f[t]
+        np.matmul(dz_rows[t], dw.r, out=dh_rec)
+    dz_all = np.moveaxis(dz.reshape(gates.shape), 0, -2)
     dz_t = np.swapaxes(dz_all, -1, -2)
     np.matmul(dz_t, x, out=grad.w)
-    np.matmul(dz_t[..., 1:], hs[..., :-1, :], out=grad.r)
+    np.matmul(dz_t[..., 1:], np.moveaxis(hs[:-1], 0, -2), out=grad.r)
     dz_all.sum(axis=-2, out=grad.b)
     return dz_all
 

@@ -203,3 +203,116 @@ def window_features_direct(h, v, closed, valid, fps, threshold, min_dur_frames,
     if runs:
         out[28], out[29], out[30] = moments_direct([float(r) for r in runs])
     return out
+
+
+def _logistic(z):
+    return 1.0 / (1.0 + math.exp(-z))
+
+
+def _lstm_forward_direct(w, r, b, xs):
+    """One LSTM direction stepped frame by frame. w, r, b are nested lists
+    with gate rows in (input, forget, cell, output) order. Returns the hidden
+    states and, per frame, what BPTT needs."""
+    n_h = len(r[0])
+    h, c = [0.0] * n_h, [0.0] * n_h
+    hs, steps = [], []
+    for x in xs:
+        z = [
+            b[j]
+            + sum(w[j][d] * x[d] for d in range(len(x)))
+            + sum(r[j][k] * h[k] for k in range(n_h))
+            for j in range(4 * n_h)
+        ]
+        i = [_logistic(z[j]) for j in range(n_h)]
+        f = [_logistic(z[n_h + j]) for j in range(n_h)]
+        g = [math.tanh(z[2 * n_h + j]) for j in range(n_h)]
+        o = [_logistic(z[3 * n_h + j]) for j in range(n_h)]
+        c_new = [f[j] * c[j] + i[j] * g[j] for j in range(n_h)]
+        h_new = [o[j] * math.tanh(c_new[j]) for j in range(n_h)]
+        steps.append((x, h, c, i, f, g, o, c_new))
+        hs.append(h_new)
+        h, c = h_new, c_new
+    return hs, steps
+
+
+def _lstm_backward_direct(w, r, steps, d_hs):
+    """BPTT through one direction given dLoss/dh per frame; returns
+    (dLoss/dx per frame, dw, dr, db)."""
+    n_h, n_d = len(r[0]), len(w[0])
+    dw = [[0.0] * n_d for _ in range(4 * n_h)]
+    dr = [[0.0] * n_h for _ in range(4 * n_h)]
+    db = [0.0] * (4 * n_h)
+    dxs = [None] * len(steps)
+    dh_next, dc_next = [0.0] * n_h, [0.0] * n_h
+    for t in range(len(steps) - 1, -1, -1):
+        x, h_prev, c_prev, i, f, g, o, c = steps[t]
+        dz = [0.0] * (4 * n_h)
+        dc = [0.0] * n_h
+        for j in range(n_h):
+            dh = d_hs[t][j] + dh_next[j]
+            tc = math.tanh(c[j])
+            dc[j] = dh * o[j] * (1.0 - tc * tc) + dc_next[j]
+            dz[j] = dc[j] * g[j] * i[j] * (1.0 - i[j])
+            dz[n_h + j] = dc[j] * c_prev[j] * f[j] * (1.0 - f[j])
+            dz[2 * n_h + j] = dc[j] * i[j] * (1.0 - g[j] * g[j])
+            dz[3 * n_h + j] = dh * tc * o[j] * (1.0 - o[j])
+        for j in range(4 * n_h):
+            db[j] += dz[j]
+            for d in range(n_d):
+                dw[j][d] += dz[j] * x[d]
+            for k in range(n_h):
+                dr[j][k] += dz[j] * h_prev[k]
+        dxs[t] = [sum(dz[j] * w[j][d] for j in range(4 * n_h)) for d in range(n_d)]
+        dh_next = [sum(dz[j] * r[j][k] for j in range(4 * n_h)) for k in range(n_h)]
+        dc_next = [dc[j] * f[j] for j in range(n_h)]
+    return dxs, dw, dr, db
+
+
+def lstm_network_direct(params, x, y):
+    """Predictions, SSE loss and its gradients for a stack of LSTM or BLSTM
+    layers and a linear readout, frame by frame in plain Python.
+
+    Weights are read from `params.layers[l]` (one direction for LSTM; forward
+    then backward for BLSTM, the backward one reading the reversed input and
+    its outputs concatenated after the forward ones), `params.w_out` and
+    `params.b_out`. Gradients come back as one flat list in the documented
+    theta order: w, r, b of each layer and direction, then w_out, then b_out.
+    """
+    inputs = [list(map(float, row)) for row in x]
+    n = len(inputs)
+    caches = []
+    for layer in params.layers:
+        outs, layer_cache = [], []
+        for k, d in enumerate(layer):
+            w, r, b = d.w.tolist(), d.r.tolist(), d.b.tolist()
+            seq = inputs if k == 0 else inputs[::-1]
+            hs, steps = _lstm_forward_direct(w, r, b, seq)
+            outs.append(hs if k == 0 else hs[::-1])
+            layer_cache.append((w, r, steps))
+        caches.append(layer_cache)
+        inputs = [sum((out[t] for out in outs), []) for t in range(n)]
+    w_out, b_out = params.w_out.tolist(), params.b_out
+    preds = [sum(a * h for a, h in zip(w_out, row)) + b_out for row in inputs]
+    loss = sum((p - float(t)) ** 2 for p, t in zip(preds, y))
+    dy = [2.0 * (p - float(t)) for p, t in zip(preds, y)]
+    grad_out = [sum(dy[t] * inputs[t][j] for t in range(n)) for j in range(len(w_out))]
+    d_out = [[dy[t] * a for a in w_out] for t in range(n)]
+    layer_grads = []
+    for layer_cache in reversed(caches):
+        d_in = None
+        flat = []
+        for k, (w, r, steps) in enumerate(layer_cache):
+            n_h = len(r[0])
+            d_hs = [row[k * n_h : (k + 1) * n_h] for row in d_out]
+            dxs, dw, dr, db = _lstm_backward_direct(
+                w, r, steps, d_hs if k == 0 else d_hs[::-1]
+            )
+            dxs = dxs if k == 0 else dxs[::-1]
+            d_in = dxs if d_in is None else [
+                [a + b for a, b in zip(u, v)] for u, v in zip(d_in, dxs)
+            ]
+            flat += [v for row in dw for v in row] + [v for row in dr for v in row] + db
+        layer_grads.insert(0, flat)
+        d_out = d_in
+    grads = [v for flat in layer_grads for v in flat] + grad_out + [sum(dy)]
+    return preds, loss, grads

@@ -14,6 +14,12 @@ from gazeaffect.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
 from gazeaffect.timeline import FrameRate, load_feature_csv
 
 
+RESULTS_HEADER = (
+    "dimension,modality,network,shift_frames,seed,learning_rate,"
+    "val_ccc,test_ccc,train_corpus,test_corpus,status"
+)
+
+
 def run_cli(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -278,6 +284,9 @@ class TestExperimentsCommands:
             ({"shift": {"chosen_frames": {"arousal": -3}}}, "'shift.chosen_frames'"),
             ({"shift": {"cross_overrides": {"arousal": -3}}}, "'shift.cross_overrides'"),
             ({"cross_both_directions": "false"}, "'cross_both_directions'"),
+            ({"window_seconds": {"arousal": -1.0}}, "'window_seconds'"),
+            ({"shift": {"range_seconds": -0.5}}, "'shift.range_seconds'"),
+            ({"modalities": "speech"}, "expected a list, got 'speech'"),
         ],
     )
     def test_grid_value_exit_1_before_data(self, corpus_dir, tmp_path, capsys, extra, message):
@@ -318,3 +327,30 @@ class TestReport:
         code = run_cli(["report", "--results", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "o.md")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "header, bad_row, message",
+        [
+            (RESULTS_HEADER, "arousal,speech,lstm,3.5,7,0.001,0.5,,c,,ok",
+             "bad 'shift_frames' cell '3.5' at data row 2"),
+            (RESULTS_HEADER, "arousal,speech,lstm,3,seven,0.001,0.5,,c,,ok",
+             "bad 'seed' cell 'seven' at data row 2"),
+            (RESULTS_HEADER, "arousal,speech,lstm,3,7,fast,0.5,,c,,ok",
+             "bad 'learning_rate' cell 'fast' at data row 2"),
+            (RESULTS_HEADER, "arousal,speech,lstm,3,7,0.001,high,,c,,ok",
+             "bad 'val_ccc' cell 'high' at data row 2"),
+            (RESULTS_HEADER, "arousal,speech,lstm,3,7,0.001",
+             "data row 2 has no 'val_ccc' cell"),
+            (RESULTS_HEADER.replace("dimension,", ""), "speech,lstm,3,7,0.001,0.5,,c,,ok",
+             "data row 1 has no 'dimension' cell"),
+        ],
+        ids=["shift_frames", "seed", "learning_rate", "val_ccc", "short_row", "no_dimension"],
+    )
+    def test_malformed_results_exit_2(self, tmp_path, capsys, header, bad_row, message):
+        good_row = "arousal,speech,lstm,0,7,0.001,0.4,,c,,ok"
+        results = tmp_path / "r.csv"
+        results.write_text(f"{header}\n{good_row}\n{bad_row}\n")
+        code = run_cli(["report", "--results", str(results), "--out", str(tmp_path / "o.md")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

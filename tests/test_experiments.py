@@ -128,6 +128,10 @@ class TestConfig:
             ({"shift": {"cross_overrides": {"arousal": -1}}}, "shift.cross_overrides"),
             ({"cross_both_directions": "false"}, "cross_both_directions"),
             ({"cross_both_directions": 1}, "cross_both_directions"),
+            ({"window_seconds": {"arousal": 0}}, "window_seconds"),
+            ({"window_seconds": {"valence": float("nan")}}, "window_seconds"),
+            ({"shift": {"range_seconds": -0.5}}, "shift.range_seconds"),
+            ({"modalities": "speech"}, "modalities"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):

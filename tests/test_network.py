@@ -27,6 +27,8 @@ from gazeaffect.network import (
 )
 from gazeaffect.timeline import AnnotationTrace, FeatureMatrix, FrameRate
 
+from oracles import lstm_network_direct
+
 FPS = FrameRate(25.0)
 
 
@@ -207,6 +209,26 @@ class TestGradients:
         report = gradient_check(small_spec("lstm"), seed=12, sequence_length=20)
         assert report.max_relative_error > 1e-2
         assert report.worst_index == 100
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    @pytest.mark.parametrize("sizes", [(6,), (8, 6)])
+    @pytest.mark.parametrize("kind", ["lstm", "blstm"])
+    def test_matches_per_step_oracle(self, kind, sizes, n):
+        # Tighter than the finite-difference check: the vectorized BPTT must
+        # agree with textbook per-step equations to rounding.
+        spec = small_spec(kind, sizes)
+        params = init_network(spec, n)
+        rng = np.random.default_rng(100 + n)
+        params.theta[...] = rng.normal(0.0, 0.3, size=params.theta.shape)
+        x = rng.normal(size=(n, spec.input_dim))
+        y = rng.normal(size=n)
+        preds, loss, grads = lstm_network_direct(params, x, y)
+        g, bptt_loss = bptt_gradients(params, spec, x, y)
+        grads = np.array(grads)
+        assert g.theta.shape == grads.shape
+        assert np.max(np.abs(g.theta - grads)) <= 1e-12 * np.max(np.abs(grads))
+        assert np.max(np.abs(predict(params, spec, x) - preds)) <= 1e-12
+        assert bptt_loss == pytest.approx(loss, rel=1e-12)
 
     def test_length_mismatch(self):
         spec = small_spec()
