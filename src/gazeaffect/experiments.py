@@ -15,7 +15,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -99,11 +98,9 @@ class ExperimentConfig:
     )
     learning_rates: tuple[float, ...] = (1e-5,)
     seeds: tuple[int, ...] = (1787452436,)
-    max_epochs: int = 100
-    patience_epochs: int = 20
-    noise_sigma: float = 0.1
-    momentum: float = 0.0
-    batch_sequences: int = 1
+    max_epochs: int = TrainConfig.max_epochs
+    patience_epochs: int = TrainConfig.patience_epochs
+    noise_sigma: float = TrainConfig.noise_sigma
     gaze_columns: dict[str, str] | None = None
     out_dir: Path = Path(".")
     jobs: int = 1
@@ -121,6 +118,9 @@ class ExperimentConfig:
         if not 0 <= self.shift.range_seconds < math.inf:
             raise ConfigError(f"config field 'shift.range_seconds' needs finite seconds >= 0, "
                               f"got {self.shift.range_seconds}")
+        if self.shift.stride_frames < 1:
+            raise ConfigError(f"config field 'shift.stride_frames' needs frames >= 1, "
+                              f"got {self.shift.stride_frames}")
         if not (self.networks and self.learning_rates and self.seeds):
             raise ConfigError("network/learning-rate/seed grids must be non-empty")
         try:  # the network and training rules, checked before any data is read
@@ -138,8 +138,6 @@ class ExperimentConfig:
             max_epochs=self.max_epochs,
             patience_epochs=self.patience_epochs,
             noise_sigma=self.noise_sigma,
-            batch_sequences=self.batch_sequences,
-            momentum=self.momentum,
         )
 
     @classmethod
@@ -155,71 +153,87 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base: Path = Path(".")) -> "ExperimentConfig":
+        """Build a config from the keys present in `doc`; every absent key
+        keeps its dataclass default. Relative paths resolve against `base`,
+        and a key that is not read here is a ConfigError."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
-        get = partial(_field, doc)
+        fields, shift, read = {}, {}, set()
+
+        def get(path, convert, into=fields):
+            read.add(tuple(path.split(".")))
+            _field(doc, path, convert, into)
 
         def resolve(p):
             return (base / p).resolve()
 
-        try:
-            shift = ShiftSettings(
-                anchor_frames={
-                    **DEFAULT_ANCHOR_FRAMES, **get("shift.anchor_frames", _each(_int), {})
-                },
-                chosen_frames={
-                    **DEFAULT_CHOSEN_FRAMES, **get("shift.chosen_frames", _each(_shift), {})
-                },
-                range_seconds=get("shift.range_seconds", float, 1.0),
-                stride_frames=get("shift.stride_frames", _int, 3),
-                cross_overrides=get(
-                    "shift.cross_overrides",
-                    _each(lambda v: v if v is None else _shift(v)),
-                    {},
-                ),
-            )
-            networks = get(
-                "networks",
-                lambda ns: tuple(NetworkChoice(n["kind"], tuple(map(_int, n["sizes"])))
-                                 for n in ns),
-                DEFAULT_NETWORKS,
-            )
-            return cls(
-                train_manifest=get("train_manifest", resolve, doc["train_manifest"]),  # required
-                test_manifest=get("test_manifest", lambda p: resolve(p) if p else None, None),
-                dimension=doc.get("dimension", "arousal"),
-                modalities=get("modalities", _list(str), MODALITIES),
-                window_seconds={
-                    **DEFAULT_WINDOW_SECONDS, **get("window_seconds", _each(float), {})
-                },
-                shift=shift,
-                networks=networks,
-                learning_rates=get("training.learning_rates", _list(float), [1e-5]),
-                seeds=get("training.seeds", _list(_int), [1787452436]),
-                max_epochs=get("training.max_epochs", _int, 100),
-                patience_epochs=get("training.patience_epochs", _int, 20),
-                noise_sigma=get("training.noise_sigma", float, 0.1),
-                momentum=get("training.momentum", float, 0.0),
-                batch_sequences=get("training.batch_sequences", _int, 1),
-                gaze_columns=get("gaze_columns", lambda c: c if c is None else dict(c), None),
-                out_dir=get("out_dir", resolve, "."),
-                jobs=get("jobs", _int, 1),
-                cross_both_directions=get("cross_both_directions", _bool, False),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"config missing required field {exc}") from exc
+        get("shift.anchor_frames", _each(_int, DEFAULT_ANCHOR_FRAMES), shift)
+        get("shift.chosen_frames", _each(_shift, DEFAULT_CHOSEN_FRAMES), shift)
+        get("shift.range_seconds", float, shift)
+        get("shift.stride_frames", _int, shift)
+        get("shift.cross_overrides", _each(lambda v: v if v is None else _shift(v)), shift)
+        get(
+            "networks",
+            lambda ns: tuple(NetworkChoice(n["kind"], tuple(map(_int, n["sizes"])))
+                             for n in ns),
+        )
+        get("train_manifest", resolve)
+        get("test_manifest", lambda p: resolve(p) if p else None)
+        get("dimension", str)
+        get("modalities", _list(str))
+        get("window_seconds", _each(float, DEFAULT_WINDOW_SECONDS))
+        get("training.learning_rates", _list(float))
+        get("training.seeds", _list(_int))
+        get("training.max_epochs", _int)
+        get("training.patience_epochs", _int)
+        get("training.noise_sigma", float)
+        get("gaze_columns", lambda c: c if c is None else dict(c))
+        get("out_dir", Path)
+        get("jobs", _int)
+        get("cross_both_directions", _bool)
+        unknown = _unknown_keys(doc, read)
+        if unknown:
+            raise ConfigError("unknown config field(s) " + ", ".join(map(repr, unknown)))
+        if "train_manifest" not in fields:
+            raise ConfigError("config missing required field 'train_manifest'")
+        config = cls(shift=ShiftSettings(**shift), **fields)
+        config.out_dir = resolve(config.out_dir)
+        return config
 
 
-def _field(doc: dict, path: str, convert, default):
-    """convert(value at `path`, e.g. "training.max_epochs", or default if
-    absent); a malformed value or section raises ConfigError naming the path."""
+_ABSENT = object()
+
+
+def _field(doc: dict, path: str, convert, into: dict) -> None:
+    """Store convert(value at `path`, e.g. "training.max_epochs") in `into`
+    under the path's last key; an absent key stores nothing. A malformed value
+    or section raises ConfigError naming the path."""
     *sections, key = path.split(".")
     try:
         for name in sections:
             doc = doc.get(name, {})
-        return convert(doc.get(key, default))
+        value = doc.get(key, _ABSENT)
+        if value is not _ABSENT:
+            into[key] = convert(value)
+    except KeyError as exc:
+        raise ConfigError(f"config field {path!r} has no {exc} entry") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"config field {path!r} is invalid: {exc}") from exc
+
+
+def _unknown_keys(doc: dict, read: set[tuple[str, ...]], prefix: tuple = ()) -> list[str]:
+    """Dotted paths of the keys in `doc` that no path in `read` names or
+    leads through."""
+    unknown = []
+    for key, value in doc.items():
+        path = prefix + (key,)
+        if path in read:
+            continue
+        if isinstance(value, dict) and any(p[: len(path)] == path for p in read):
+            unknown += _unknown_keys(value, read, path)
+        else:
+            unknown.append(".".join(path))
+    return unknown
 
 
 def _int(value) -> int:
@@ -243,9 +257,9 @@ def _bool(value) -> bool:
     return value
 
 
-def _each(convert):
-    """convert applied to every value of a JSON object."""
-    return lambda section: {k: convert(v) for k, v in section.items()}
+def _each(convert, defaults=None):
+    """convert applied to every value of a JSON object, merged over defaults."""
+    return lambda section: {**(defaults or {}), **{k: convert(v) for k, v in section.items()}}
 
 
 def _list(convert):
@@ -496,7 +510,7 @@ def _grid(config, modalities, shifts, corpus, test) -> list[RunTask]:
 def sweep_shifts(config: ExperimentConfig, fps: float) -> list[int]:
     """Shift grid: anchor +/- range_seconds at the sweep stride, clamped at 0."""
     anchor = config.shift.anchor_frames[config.dimension]
-    stride = max(1, config.shift.stride_frames)
+    stride = config.shift.stride_frames
     steps = int(round(config.shift.range_seconds * fps)) // stride
     return sorted({max(0, anchor + k * stride) for k in range(-steps, steps + 1)})
 

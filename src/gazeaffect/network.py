@@ -3,9 +3,9 @@
 Cells are the standard formulation: logistic input/forget/output gates, tanh
 cell-candidate and cell-output nonlinearities, no peepholes. A BLSTM layer of
 size N runs N/2 units per direction and concatenates their outputs. Training
-is full-sequence BPTT with an SSE loss, plain gradient descent (optional
-momentum), per-presentation Gaussian input noise, and early stopping on
-validation SSE.
+is full-sequence BPTT with an SSE loss, plain gradient descent with one
+update per sequence presentation, per-presentation Gaussian input noise, and
+early stopping on validation SSE.
 
 All parameters live in one flat float64 vector with named views. One time
 loop steps every weight set along the views' leading axes: the two directions
@@ -181,18 +181,14 @@ class TrainConfig:
     max_epochs: int = 100
     patience_epochs: int = 20
     noise_sigma: float = 0.1
-    batch_sequences: int = 1
-    momentum: float = 0.0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise DataError("learning rate must be positive")
         if not 0 < self.patience_epochs < self.max_epochs:
             raise DataError("need 0 < patience_epochs < max_epochs")
-        if self.noise_sigma < 0 or self.momentum < 0:
-            raise DataError("noise_sigma and momentum must be >= 0")
-        if self.batch_sequences < 1:
-            raise DataError("batch_sequences must be >= 1")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -424,15 +420,6 @@ def evaluate_sse(
     return total
 
 
-def _apply_update(theta, grad, velocity, config: TrainConfig):
-    if config.momentum > 0:
-        velocity *= config.momentum
-        velocity -= config.learning_rate * grad
-        theta += velocity
-    else:
-        theta -= config.learning_rate * grad
-
-
 def train_network(
     spec: NetworkSpec,
     train: list[tuple[np.ndarray, np.ndarray]],
@@ -446,15 +433,15 @@ def train_network(
     """Early-stopped gradient-descent training; returns the best-epoch model.
 
     Each epoch shuffles the training sequences (seeded), injects fresh input
-    noise per presentation, and evaluates noise-free validation SSE. Training
-    stops at max_epochs or once the best epoch is patience_epochs old.
+    noise per presentation, takes one gradient step per sequence, and
+    evaluates noise-free validation SSE. Training stops at max_epochs or once
+    the best epoch is patience_epochs old.
     """
     if not train or not val:
         raise DataError("train and validation partitions must be non-empty")
     train = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in train]
     val = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in val]
     params = init_network(spec, config.seed)
-    velocity = np.zeros_like(params.theta)
     rng = np.random.default_rng(config.seed)
 
     history: list[tuple[float, float]] = []
@@ -466,21 +453,12 @@ def train_network(
         for epoch in range(1, config.max_epochs + 1):
             order = rng.permutation(len(train))
             train_sse = 0.0
-            batch_grad: np.ndarray | None = None
-            batch_count = 0
             for seq_i in order:
                 x, y = train[seq_i]
                 noisy = inject_noise(x, config.noise_sigma, rng)
                 grads, loss = bptt_gradients(params, spec, noisy, y)
                 train_sse += loss
-                batch_grad = grads.theta if batch_grad is None else batch_grad + grads.theta
-                batch_count += 1
-                if batch_count == config.batch_sequences:
-                    _apply_update(params.theta, batch_grad, velocity, config)
-                    batch_grad = None
-                    batch_count = 0
-            if batch_grad is not None:
-                _apply_update(params.theta, batch_grad, velocity, config)
+                params.theta -= config.learning_rate * grads.theta
             val_sse = evaluate_sse(params, spec, val)
             if not (np.isfinite(train_sse) and np.isfinite(val_sse)):
                 raise DivergenceError(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .timeline import DIMENSIONS
+from .timeline import DIMENSIONS, FeatureMatrix, FrameRate, save_feature_csv
 
 SPEECH_SIGNAL_COLUMN = "speech_env"
 
@@ -44,26 +44,6 @@ class SyntheticCorpusSpec:
             raise DataError("noise level must be >= 0")
         if self.frames < 2 or self.speech_dim < 1:
             raise DataError("need at least 2 frames and 1 speech feature")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "train_recordings": self.train_recordings,
-            "validation_recordings": self.validation_recordings,
-            "test_recordings": self.test_recordings,
-            "frames": self.frames,
-            "fps": self.fps,
-            "lag_frames": self.lag_frames,
-            "noise_level": self.noise_level,
-            "speech_weight": self.speech_weight,
-            "gaze_weight": self.gaze_weight,
-            "speech_dim": self.speech_dim,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SyntheticCorpusSpec":
-        return cls(**doc)
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -103,16 +83,10 @@ def _closure_flags(rng: np.random.Generator, n: int) -> np.ndarray:
     return closed
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _generate_recording(spec: SyntheticCorpusSpec, out_dir: Path, rec_id: str, rec_seed: int) -> dict:
     rng = np.random.default_rng([spec.seed, rec_seed])
     n = spec.frames
+    fps = FrameRate(spec.fps)
     speech_latent = _ar1(rng, n, 0.9)
     gaze_latent = _slow_wave(rng, n)
 
@@ -121,9 +95,9 @@ def _generate_recording(spec: SyntheticCorpusSpec, out_dir: Path, rec_id: str, r
     speech[:, 0] = speech_latent + 0.05 * rng.normal(size=n)
     for j in range(1, spec.speech_dim):
         speech[:, j] = 0.3 * speech_latent + _ar1(rng, n, 0.8)
-    speech_names = [SPEECH_SIGNAL_COLUMN] + [
+    speech_names = (SPEECH_SIGNAL_COLUMN,) + tuple(
         f"speech_aux{j}" for j in range(1, spec.speech_dim)
-    ]
+    )
 
     # Gaze log: horizontal coordinate tracks the slow latent.
     h = np.clip(0.5 * gaze_latent + 0.02 * rng.normal(size=n), -1.0, 1.0)
@@ -146,23 +120,18 @@ def _generate_recording(spec: SyntheticCorpusSpec, out_dir: Path, rec_id: str, r
 
     speech_path = out_dir / f"{rec_id}_speech.csv"
     gaze_path = out_dir / f"{rec_id}_gaze.csv"
-    _write_csv(
-        speech_path,
-        speech_names,
-        ([repr(float(x)) for x in row] for row in speech),
-    )
-    _write_csv(
-        gaze_path,
-        ["frame", "h", "v", "eye_closed", "valid"],
-        (
+    save_feature_csv(FeatureMatrix(speech_names, speech, fps), speech_path)
+    with open(gaze_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frame", "h", "v", "eye_closed", "valid"])
+        writer.writerows(
             [str(t), repr(float(h[t])), repr(float(v[t])), str(closed[t]), str(valid[t])]
             for t in range(n)
-        ),
-    )
+        )
     ann_paths = {}
     for dim, values in traces.items():
         p = out_dir / f"{rec_id}_{dim}.csv"
-        _write_csv(p, ["value"], ([repr(float(y))] for y in values))
+        save_feature_csv(FeatureMatrix(("value",), values[:, None], fps), p)
         ann_paths[dim] = p.name
     return {
         "id": rec_id,

@@ -274,7 +274,7 @@ def save_feature_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(matrix.names)
-        writer.writerows(map(repr, row) for row in matrix.values.tolist())
+        writer.writerows(map(repr, row.tolist()) for row in matrix.values)  # one row in memory
 
 
 def load_gaze_log_csv(

@@ -287,6 +287,9 @@ class TestExperimentsCommands:
             ({"window_seconds": {"arousal": -1.0}}, "'window_seconds'"),
             ({"shift": {"range_seconds": -0.5}}, "'shift.range_seconds'"),
             ({"modalities": "speech"}, "expected a list, got 'speech'"),
+            ({"shift": {"stride_frames": 0}}, "'shift.stride_frames'"),
+            ({"training": {"max_epochs": 3, "patience_epochs": 2, "noise_sigma": float("nan")}},
+             "noise_sigma"),
         ],
     )
     def test_grid_value_exit_1_before_data(self, corpus_dir, tmp_path, capsys, extra, message):
@@ -298,6 +301,16 @@ class TestExperimentsCommands:
         code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    def test_unknown_key_exit_1_before_data(self, corpus_dir, tmp_path, capsys):
+        # a removed setting; the manifest does not exist, so reading data would exit 2
+        config = write_config(
+            tmp_path / "c.json", corpus_dir, train_manifest=str(tmp_path / "missing.json"),
+            training={"max_epochs": 3, "patience_epochs": 2, "momentum": 0.9},
+        )
+        code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: unknown config field(s) 'training.momentum'\n"
 
     def test_mixed_frame_rates_exit_2(self, corpus_dir, tmp_path, capsys):
         corpus = tmp_path / "mixed"

@@ -132,6 +132,13 @@ class TestConfig:
             ({"window_seconds": {"valence": float("nan")}}, "window_seconds"),
             ({"shift": {"range_seconds": -0.5}}, "shift.range_seconds"),
             ({"modalities": "speech"}, "modalities"),
+            ({"shift": {"stride_frames": 0}}, "shift.stride_frames"),
+            ({"shift": {"stride_frames": -3}}, "shift.stride_frames"),
+            ({"training": {"learning_rate": [1e-3]}}, "training.learning_rate"),
+            ({"max_epochs": 2}, "max_epochs"),
+            ({"shfit": {"stride_frames": 3}}, "shfit"),
+            ({"training": {"momentum": 0.9}}, "training.momentum"),
+            ({"networks": [{"sizes": [8]}]}, "networks"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):
@@ -154,7 +161,8 @@ class TestConfig:
             (dict(networks=(NetworkChoice("blstm", (7,)),)), "even"),
             (dict(patience_epochs=3), "patience_epochs"),
             (dict(learning_rates=(1e-3, 0.0)), "learning rate"),
-            (dict(batch_sequences=0), "batch_sequences"),
+            (dict(noise_sigma=math.nan), "noise_sigma"),
+            (dict(noise_sigma=math.inf), "noise_sigma"),
         ],
     )
     def test_grid_values_are_config_errors(self, corpus_dir, overrides, message):

@@ -349,6 +349,33 @@ class TestTraining:
         assert a.history == b.history
         assert np.array_equal(a.params.theta, b.params.theta)
 
+    @pytest.mark.parametrize("kind", ["lstm", "blstm"])
+    def test_matches_hand_written_gradient_descent(self, kind):
+        # Reference loop: per epoch one seeded permutation, then per sequence
+        # fresh input noise, BPTT and theta -= lr * g, then validation SSE.
+        train, val, _ = teachable_task(seed=9, n=40)
+        spec = small_spec(kind, (6, 4), input_dim=3)
+        config = TrainConfig(learning_rate=1e-3, seed=5, max_epochs=4, patience_epochs=3)
+        model = train_network(spec, train, val, config)
+
+        params = init_network(spec, config.seed)
+        rng = np.random.default_rng(config.seed)
+        history, best_val, best_theta = [], np.inf, None
+        for _ in range(config.max_epochs):
+            train_sse = 0.0
+            for i in rng.permutation(len(train)):
+                x, y = train[i]
+                noisy = inject_noise(x, config.noise_sigma, rng)
+                grads, loss = bptt_gradients(params, spec, noisy, y)
+                train_sse += loss
+                params.theta -= config.learning_rate * grads.theta
+            val_sse = nw.evaluate_sse(params, spec, val)
+            history.append((train_sse, val_sse))
+            if val_sse < best_val:
+                best_val, best_theta = val_sse, params.theta.copy()
+        assert np.array_equal(model.history, history)
+        assert np.array_equal(model.params.theta, best_theta)
+
     def test_teachable_task_reaches_ccc(self):
         train, val, test = teachable_task()
         spec = NetworkSpec(

@@ -77,10 +77,6 @@ class TestStructure:
         assert np.abs(log.h).max() <= 1.0
         assert np.abs(log.v).max() <= 1.0
 
-    def test_spec_round_trip(self):
-        spec = SyntheticCorpusSpec(name="x", lag_frames=10, seed=9)
-        assert SyntheticCorpusSpec.from_dict(spec.to_dict()) == spec
-
     def test_invalid_specs_rejected(self):
         with pytest.raises(DataError):
             SyntheticCorpusSpec(frames=50, lag_frames=50)
