@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -28,6 +29,7 @@ from .metrics import ccc, pearson, sse
 from .network import save_model
 from .synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
 from .timeline import (
+    DIMENSIONS,
     FeatureMatrix,
     FrameRate,
     load_annotation_csv,
@@ -37,6 +39,16 @@ from .timeline import (
     parse_gaze_columns_flag,
     save_feature_csv,
 )
+
+
+@contextmanager
+def _flag_values():
+    """Values built from command-line flags: one that is rejected is a usage
+    fault (exit 1), not a data error."""
+    try:
+        yield
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @click.group()
@@ -53,9 +65,11 @@ def cli():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def extract_gaze_cmd(in_path, fps, window_seconds, columns_flag, out_path):
     """Extract the 31 windowed gaze features from a gaze log CSV."""
-    column_map = parse_gaze_columns_flag(columns_flag) if columns_flag else None
-    log = load_gaze_log_csv(in_path, FrameRate(fps), column_map)
-    matrix = extract_gaze_features(log, WindowSpec(window_seconds))
+    with _flag_values():
+        column_map = parse_gaze_columns_flag(columns_flag) if columns_flag else None
+        rate, window = FrameRate(fps), WindowSpec(window_seconds)
+    log = load_gaze_log_csv(in_path, rate, column_map)
+    matrix = extract_gaze_features(log, window)
     save_feature_csv(matrix, out_path)
     click.echo(f"wrote {matrix.n_frames}x{matrix.n_features} features to {out_path}")
 
@@ -67,7 +81,8 @@ def extract_gaze_cmd(in_path, fps, window_seconds, columns_flag, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def fuse_cmd(speech, gaze, fps, out_path):
     """Concatenate speech and gaze feature CSVs frame by frame."""
-    rate = FrameRate(fps)
+    with _flag_values():
+        rate = FrameRate(fps)
     fused = fuse_features(
         load_feature_csv(speech, rate), load_feature_csv(gaze, rate), "speech", "gaze"
     )
@@ -79,14 +94,16 @@ def fuse_cmd(speech, gaze, fps, out_path):
 @click.option("--annotations", required=True, type=click.Path())
 @click.option("--frames", required=True, type=int)
 @click.option("--dimension", default="arousal", show_default=True,
-              type=click.Choice(["arousal", "valence"]))
+              type=click.Choice(DIMENSIONS))
 @click.option("--fps", default=25.0, show_default=True, type=float)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def shift_cmd(annotations, frames, dimension, fps, out_path):
     """Shift annotations back in time by N frames, zero-padding the tail."""
-    rate = FrameRate(fps)
+    with _flag_values():
+        rate = FrameRate(fps)
+        spec = ShiftSpec(frames, rate)
     trace = load_annotation_csv(annotations, dimension, rate)
-    shifted = shift_annotations(trace, ShiftSpec(frames, rate))
+    shifted = shift_annotations(trace, spec)
     save_feature_csv(FeatureMatrix(("value",), shifted.values[:, None], rate), out_path)
     click.echo(f"wrote {len(shifted)} shifted values to {out_path}")
 
@@ -125,19 +142,20 @@ def synth_cmd(out_dir, name, recordings, frames, fps, lag, noise,
         raise ConfigError(
             f"--recordings must be 'train,val,test' counts, got {recordings!r}"
         ) from None
-    spec = SyntheticCorpusSpec(
-        name=name,
-        train_recordings=n_train,
-        validation_recordings=n_val,
-        test_recordings=n_test,
-        frames=frames,
-        fps=fps,
-        lag_frames=lag,
-        noise_level=noise,
-        speech_weight=speech_weight,
-        gaze_weight=gaze_weight,
-        seed=seed,
-    )
+    with _flag_values():
+        spec = SyntheticCorpusSpec(
+            name=name,
+            train_recordings=n_train,
+            validation_recordings=n_val,
+            test_recordings=n_test,
+            frames=frames,
+            fps=fps,
+            lag_frames=lag,
+            noise_level=noise,
+            speech_weight=speech_weight,
+            gaze_weight=gaze_weight,
+            seed=seed,
+        )
     manifest_path = generate_synthetic_corpus(spec, out_dir)
     click.echo(f"wrote corpus manifest to {manifest_path}")
 

@@ -42,6 +42,7 @@ from .network import (
     train_network,
 )
 from .timeline import (
+    DIMENSIONS,
     AnnotationTrace,
     CorpusManifest,
     FeatureMatrix,
@@ -107,7 +108,7 @@ class ExperimentConfig:
     cross_both_directions: bool = False
 
     def __post_init__(self):
-        if self.dimension not in ("arousal", "valence"):
+        if self.dimension not in DIMENSIONS:
             raise ConfigError(f"unknown dimension {self.dimension!r}")
         for m in self.modalities:
             if m not in MODALITIES:
@@ -155,23 +156,26 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict, base: Path = Path(".")) -> "ExperimentConfig":
         """Build a config from the keys present in `doc`; every absent key
         keeps its dataclass default. Relative paths resolve against `base`,
-        and a key that is not read here is a ConfigError."""
+        and a key that is not read here (in a per-dimension map, a key other
+        than a dimension) is a ConfigError."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
         fields, shift, read = {}, {}, set()
 
-        def get(path, convert, into=fields):
-            read.add(tuple(path.split(".")))
+        def get(path, convert, into=fields, keys=None):  # keys: all an object at path may hold
+            parts = tuple(path.split("."))
+            read.update([parts] if keys is None else [parts + (k,) for k in keys])
             _field(doc, path, convert, into)
 
         def resolve(p):
             return (base / p).resolve()
 
-        get("shift.anchor_frames", _each(_int, DEFAULT_ANCHOR_FRAMES), shift)
-        get("shift.chosen_frames", _each(_shift, DEFAULT_CHOSEN_FRAMES), shift)
+        get("shift.anchor_frames", _each(_int, DEFAULT_ANCHOR_FRAMES), shift, DIMENSIONS)
+        get("shift.chosen_frames", _each(_shift, DEFAULT_CHOSEN_FRAMES), shift, DIMENSIONS)
         get("shift.range_seconds", float, shift)
         get("shift.stride_frames", _int, shift)
-        get("shift.cross_overrides", _each(lambda v: v if v is None else _shift(v)), shift)
+        get("shift.cross_overrides", _each(lambda v: v if v is None else _shift(v)), shift,
+            DIMENSIONS)
         get(
             "networks",
             lambda ns: tuple(NetworkChoice(n["kind"], tuple(map(_int, n["sizes"])))
@@ -181,7 +185,7 @@ class ExperimentConfig:
         get("test_manifest", lambda p: resolve(p) if p else None)
         get("dimension", str)
         get("modalities", _list(str))
-        get("window_seconds", _each(float, DEFAULT_WINDOW_SECONDS))
+        get("window_seconds", _each(float, DEFAULT_WINDOW_SECONDS), keys=DIMENSIONS)
         get("training.learning_rates", _list(float))
         get("training.seeds", _list(_int))
         get("training.max_epochs", _int)

@@ -12,13 +12,16 @@ All windows of a recording are computed together. The log is compacted to its
 valid frames, so each frame's trailing window is a range [a, b) of the
 compacted arrays. Run-length statistics clip one run table of the recording
 to each range and sum run-length powers exactly in integers. Moments,
-quantiles, band powers (a product with the cos/sin basis of DFT bins 1-12)
-and zone spreads run on (windows, length) blocks of the windows of equal
-length; spreads are two-pass grouped sums. I-DT uses a jump table: ext[s]
-ends the longest run from s within the dispersion threshold (dispersion only
-grows with the end), so a window's fixations are the chain s -> ext[s], or
-s + 1 when that run is too short, from a, the last one cut at b; all chains
-step together. The single-window functions call the same code with one range.
+quantiles, band powers and zone spreads run on (windows, length) blocks: the
+windows, sorted by length, are gathered into rows padded to the block's
+longest, and each statistic reads the first n samples of its row (quantiles
+from a sort with the padding last, masked moments and spreads, and a product
+with the cos/sin basis of DFT bins 1-12 per distinct length); spreads are
+two-pass grouped sums. I-DT uses a jump table: ext[s] ends the longest run
+from s within the dispersion threshold (dispersion only grows with the end),
+so a window's fixations are the chain s -> ext[s], or s + 1 when that run is
+too short, from a, the last one cut at b; all chains step together. The
+single-window functions call the same code with one range.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ GAZE_FEATURE_NAMES: tuple[str, ...] = (
 # Periodogram bin groups for the five band-power features.
 PSD_BIN_GROUPS: tuple[tuple[int, ...], ...] = ((1,), (2,), (3, 4), (5, 6), (7, 8, 9, 10, 11, 12))
 _BANDS = np.array([[k in g for g in PSD_BIN_GROUPS] for k in range(1, 13)], dtype=float)
-# Windows of one length are gathered in blocks of at most this many samples
-# per axis, so memory does not grow with the recording's length.
+# Windows are gathered in blocks of at most this many padded samples per axis
+# (windows of any lengths, padded to the block's longest), so memory does not
+# grow with the recording's length.
 _BLOCK_SAMPLES = 1 << 15
 
 
@@ -53,8 +57,8 @@ class WindowSpec:
     size_seconds: float
 
     def __post_init__(self):
-        if not self.size_seconds > 0:
-            raise DataError("window size must be positive")
+        if not 0 < self.size_seconds < np.inf:
+            raise DataError(f"window size must be positive and finite, got {self.size_seconds}")
 
 
 @dataclass(frozen=True)
@@ -199,41 +203,87 @@ def _path_stats(r: np.ndarray, ch: np.ndarray, cv: np.ndarray, ranges: int) -> n
     return np.stack(_group_mean_std(r[1:][same], segments, ranges)[1:], -1)
 
 
-def _functionals(x: np.ndarray) -> np.ndarray:
-    """(mean, iqr12, iqr23, population std, skew) along the last axis, with
-    linear quantiles; std and skew are 0 when the variance is below 1e-12."""
-    q1, q2, q3 = np.quantile(x, [0.25, 0.5, 0.75], axis=-1)
-    mean = x.mean(-1)
+def _mask(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(rows, L) mask of the first n[row] samples of each padded row of x."""
+    return np.arange(x.shape[-1]) < n[:, None]
+
+
+def _functionals(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(mean, iqr12, iqr23, population std, skew) of the first n samples of
+    each row (last axis), with linear quantiles at p(n - 1); std and skew are
+    0 when the variance is below 1e-12."""
+    mask = _mask(x, n)
+    ordered = np.where(mask, x, np.inf)  # padding sorts last
+    ordered.sort(-1)
+    at = np.multiply.outer(n - 1, [0.25, 0.5, 0.75])
+    below = np.floor(at).astype(np.intp)
+    lo, hi = (
+        np.take_along_axis(ordered, np.broadcast_to(i, x.shape[:-1] + (3,)), -1)
+        for i in (below, np.minimum(below + 1, n[:, None] - 1))
+    )
+    q1, q2, q3 = np.moveaxis(lo + (hi - lo) * (at - below), -1, 0)
+    mean = np.where(mask, x, 0.0).sum(-1) / n
     centered = x - mean[..., None]
-    squares = centered**2
-    m2 = squares.mean(-1)
+    centered *= mask
+    powers = centered**2
+    m2 = powers.sum(-1) / n
     live = m2 >= 1e-12
-    skew = np.where(live, np.mean(squares * centered, -1) / np.where(live, m2, 1.0) ** 1.5, 0.0)
+    m3 = np.multiply(powers, centered, out=powers).sum(-1) / n
+    skew = np.where(live, m3 / np.where(live, m2, 1.0) ** 1.5, 0.0)
     return np.stack([mean, q2 - q1, q3 - q2, np.where(live, np.sqrt(m2), 0.0), skew], -1)
 
 
-def _band_powers(x: np.ndarray) -> np.ndarray:
-    """Five band powers along the last axis (length n) from the periodogram
-    P_k = |DFT_k|^2 / n, k = 1..12, as a product with the cos/sin basis;
-    bins k > n/2 give 0. Bins k >= 1 ignore a constant offset, so the series
-    is taken relative to its first sample: a constant window gives exact 0."""
-    n = x.shape[-1]
+def _band_powers(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Five band powers of the first n samples of each row (last axis; n
+    ascending) from the periodogram P_k = |DFT_k|^2 / n, k = 1..12: one
+    product per distinct length with its cos/sin basis, the bases of all
+    lengths built in one pass; bins k > n/2 give 0. Bins k >= 1 ignore a
+    constant offset, so each series is taken relative to its first sample: a
+    constant window gives exact 0."""
     k = np.arange(1, 13)
-    angle = 2 * np.pi / n * (np.outer(np.arange(n), k) % n)
-    shifted = x - x[..., :1]
-    power = ((shifted @ np.cos(angle)) ** 2 + (shifted @ np.sin(angle)) ** 2) / n
-    return (power * (2 * k <= n)) @ _BANDS
+    lengths, starts, counts = np.unique(n, return_index=True, return_counts=True)
+    offsets = np.cumsum(lengths) - lengths  # where each length's basis rows start
+    m = np.repeat(lengths, lengths)[:, None]
+    t = np.arange(len(m))[:, None] - np.repeat(offsets, lengths)[:, None]
+    angle = 2 * np.pi / m * (t * k % m)
+    basis = np.empty((len(m), 24))
+    np.cos(angle, out=basis[:, :12])
+    np.sin(angle, out=basis[:, 12:])
+    dft = np.empty(x.shape[:-1] + (24,))
+    for length, s, c, o in zip(*(v.tolist() for v in (lengths, starts, counts, offsets))):
+        shifted = x[..., s : s + c, :length] - x[..., s : s + c, :1]
+        dft[..., s : s + c, :] = shifted @ basis[o : o + length]
+    power = (dft[..., :12] ** 2 + dft[..., 12:] ** 2) / n[:, None]
+    return (power * (2 * k <= n[:, None])) @ _BANDS
 
 
-def _zone_spread(x: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """(mean, population std) along the last axis of the per-cell stds of x,
-    over the cells (given per sample) that hold at least 2 samples."""
+def _zone_spread(x: np.ndarray, n: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """(mean, population std) over the first n samples of each row (last
+    axis) of the per-cell stds of x, over the cells (given per sample) that
+    hold at least 2 of those samples."""
     series = np.arange(np.prod(x.shape[:-1])).reshape(*x.shape[:-1], 1)
-    keys = (cells + n_cells * series).ravel()
-    count, _, std = _group_mean_std(keys, x.ravel(), series.size * n_cells)
-    kept = np.flatnonzero(count >= 2)
-    spread = _group_mean_std(kept // n_cells, std[kept], series.size)[1:]
+    kept = np.broadcast_to(_mask(x, n), x.shape)
+    keys = (cells + n_cells * series)[kept]
+    count, _, std = _group_mean_std(keys, x[kept], series.size * n_cells)
+    full = np.flatnonzero(count >= 2)
+    spread = _group_mean_std(full // n_cells, std[full], series.size)[1:]
     return np.stack(spread, -1).reshape(*x.shape[:-1], 2)
+
+
+def _blocks(n: np.ndarray, budget: int):
+    """[s, e) blocks of the ascending lengths n: one row, or at most `budget`
+    padded samples per axis (rows times the longest length) whose distinct
+    lengths sum to at most budget / 12, so the block's DFT bases (24 values
+    per sample of each length) hold no more values than its two axes."""
+    basis = np.cumsum(np.where(np.diff(n, prepend=0) > 0, n, 0))  # distinct lengths so far
+    s = 0
+    while s < len(n):
+        end = min(len(n), s + max(1, budget // n[s]))
+        rows = np.arange(1, end - s + 1)
+        cost = np.maximum(rows * n[s:end], 12 * (basis[s:end] - basis[s] + n[s]))
+        e = s + max(1, np.searchsorted(cost, budget, side="right"))
+        yield s, e
+        s = e
 
 
 def _features(h, v, closed, valid, lo, hi, limit, fps, fixation: FixationParams, grid: ZoneGrid):
@@ -243,20 +293,21 @@ def _features(h, v, closed, valid, lo, hi, limit, fps, fixation: FixationParams,
     before = np.concatenate(([0], np.cumsum(mask)))  # valid frames before each frame
     a, b = before[lo], before[hi]  # the windows as ranges of the valid frames
     h, v, closed = h[mask], v[mask], np.asarray(closed, dtype=bool)[mask]
+    hv = np.stack([h, v])
     out = np.zeros((len(a), len(GAZE_FEATURE_NAMES)))
     out[:, :2] = _approach(np.hypot(h, v), a, b, fps.frame_ms)
     ext = _extents(h, v, fixation.dispersion_threshold, limit)
     r, start, end = _fixations(ext, a, b, frames_for_duration(fixation.min_duration_seconds, fps))
     out[:, 2:4] = _path_stats(r, _run_means(h, start, end), _run_means(v, start, end), len(a))
-    lengths = b - a
-    for n in np.unique(lengths[lengths > 0]):
-        group = np.flatnonzero(lengths == n)
-        for rows in np.array_split(group, -(-len(group) * n // _BLOCK_SAMPLES)):
-            frames = a[rows, None] + np.arange(n)
-            x = np.stack([h[frames], v[frames]])  # (axis, window, frame)
-            zones = _zone_spread(x, grid.cells(*x), grid.rows * grid.cols)
-            stats = np.concatenate([_functionals(x), _band_powers(x), zones], -1)
-            out[rows, 4:28] = np.concatenate(stats, -1)  # h's 12 features, then v's
+    order = np.argsort(b - a, kind="stable")
+    order = order[b[order] > a[order]]  # non-empty windows, shortest first
+    lengths = (b - a)[order]
+    for s, e in _blocks(lengths, _BLOCK_SAMPLES):
+        rows, n = order[s:e], lengths[s:e]
+        x = np.take(hv, a[rows, None] + np.arange(n[-1]), 1, mode="clip")  # (axis, window, frame)
+        zones = _zone_spread(x, n, grid.cells(*x), grid.rows * grid.cols)
+        stats = np.concatenate([_functionals(x, n), _band_powers(x, n), zones], -1)
+        out[rows, 4:28] = np.concatenate(stats, -1)  # h's 12 features, then v's
     out[:, 28:31] = _closure(closed, a, b)
     return out
 
@@ -300,7 +351,7 @@ def coordinate_functionals(series: np.ndarray) -> tuple[float, float, float, flo
     """
     if len(series) == 0:
         raise DataError("coordinate series is empty")
-    return tuple(_functionals(np.asarray(series, dtype=float)[None])[0].tolist())
+    return tuple(_functionals(np.asarray(series, dtype=float)[None], np.array([len(series)]))[0].tolist())
 
 
 def psd_band_powers(series: np.ndarray) -> np.ndarray:
@@ -309,7 +360,7 @@ def psd_band_powers(series: np.ndarray) -> np.ndarray:
     The series is mean-removed; P_k = |DFT_k|^2 / N. Bins above N/2 or beyond
     the available resolution contribute 0.
     """
-    return _band_powers(np.asarray(series, dtype=float)[None])[0]
+    return _band_powers(np.asarray(series, dtype=float)[None], np.array([len(series)]))[0]
 
 
 def fixation_zone_spread(
@@ -322,7 +373,8 @@ def fixation_zone_spread(
     cell qualifies.
     """
     h, v = np.asarray(h, dtype=float), np.asarray(v, dtype=float)
-    zones = _zone_spread(np.stack([h, v]), grid.cells(h, v), grid.rows * grid.cols)
+    x = np.stack([h, v])[:, None]
+    zones = _zone_spread(x, np.array([len(h)]), grid.cells(h, v), grid.rows * grid.cols)[:, 0]
     return tuple(tuple(zone) for zone in zones.tolist())
 
 

@@ -38,10 +38,11 @@ class SyntheticCorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        FrameRate(self.fps)  # rejects a rate that is not positive and finite
         if self.lag_frames >= self.frames:
             raise DataError("injected lag must be smaller than the recording length")
-        if self.noise_level < 0:
-            raise DataError("noise level must be >= 0")
+        if not 0 <= self.noise_level < np.inf:
+            raise DataError(f"noise level must be finite and >= 0, got {self.noise_level}")
         if self.frames < 2 or self.speech_dim < 1:
             raise DataError("need at least 2 frames and 1 speech feature")
 

@@ -180,6 +180,38 @@ class TestSynth:
         assert code == 1
 
 
+class TestFlagFaults:
+    # Faults in values built from flags are usage faults: exit 1, before any
+    # input file is read (the inputs named here do not exist).
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--frames", "1"],
+            ["synth", "--noise", "-1"],
+            ["synth", "--fps", "0"],
+            ["synth", "--fps", "nan"],
+            ["synth", "--frames", "10", "--lag", "10"],
+            ["extract-gaze", "--fps", "25", "--window-seconds", "0"],
+            ["extract-gaze", "--fps", "25", "--window-seconds", "inf"],
+            ["extract-gaze", "--fps", "0"],
+            ["extract-gaze", "--fps", "25", "--gaze-columns", "h:gx"],
+            ["fuse", "--speech", "s.csv", "--gaze", "g.csv", "--fps", "0"],
+            ["shift", "--annotations", "a.csv", "--frames", "3", "--fps", "0"],
+            ["shift", "--annotations", "a.csv", "--frames", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_fault_exit_1(self, tmp_path, capsys, argv):
+        if argv[0] == "extract-gaze":
+            argv = [*argv, "--in", str(tmp_path / "log.csv")]
+        out = "--out-dir" if argv[0] == "synth" else "--out"
+        code = run_cli([*argv, out, str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestExperimentsCommands:
     def test_sweep(self, corpus_dir, tmp_path):
         config = write_config(tmp_path / "c.json", corpus_dir)
@@ -290,6 +322,8 @@ class TestExperimentsCommands:
             ({"shift": {"stride_frames": 0}}, "'shift.stride_frames'"),
             ({"training": {"max_epochs": 3, "patience_epochs": 2, "noise_sigma": float("nan")}},
              "noise_sigma"),
+            ({"shift": {"chosen_frames": {"arousl": 3}}}, "'shift.chosen_frames.arousl'"),
+            ({"window_seconds": {"valance": 6.0}}, "'window_seconds.valance'"),
         ],
     )
     def test_grid_value_exit_1_before_data(self, corpus_dir, tmp_path, capsys, extra, message):

@@ -139,6 +139,10 @@ class TestConfig:
             ({"shfit": {"stride_frames": 3}}, "shfit"),
             ({"training": {"momentum": 0.9}}, "training.momentum"),
             ({"networks": [{"sizes": [8]}]}, "networks"),
+            ({"shift": {"chosen_frames": {"arousl": 3}}}, "shift.chosen_frames.arousl"),
+            ({"shift": {"anchor_frames": {"Arousal": 3}}}, "shift.anchor_frames.Arousal"),
+            ({"shift": {"cross_overrides": {"valance": None}}}, "shift.cross_overrides.valance"),
+            ({"window_seconds": {"arousal": 4.0, "dominance": 2.0}}, "window_seconds.dominance"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):

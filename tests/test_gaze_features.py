@@ -185,6 +185,15 @@ class TestEyeClosure:
         assert eye_closure_stats(np.ones(10, dtype=bool)) == (10.0, 0.0, 0.0)
 
 
+def _with_track_loss(log: GazeLog, rng: np.random.Generator) -> GazeLog:
+    """log with runs of 1-20 invalid frames (NaN coordinates) at random starts."""
+    valid = log.valid.copy()
+    for start in rng.choice(len(log), size=len(log) // 50, replace=False):
+        valid[start : start + rng.integers(1, 21)] = False
+    h, v = np.where(valid, log.h, np.nan), np.where(valid, log.v, np.nan)
+    return GazeLog(h=h, v=v, eye_closed=log.eye_closed, valid=valid, fps=log.fps)
+
+
 class TestExtraction:
     def test_output_shape(self):
         rng = np.random.default_rng(1)
@@ -297,15 +306,21 @@ class TestExtraction:
             matrix = extract_gaze_features(log, WindowSpec(1.0))
             assert np.isfinite(matrix.values).all()
 
-    @pytest.mark.parametrize("block", [64, 8])
+    @pytest.mark.parametrize("block", [64, 8, 2048])
     def test_block_split_matches_one_block(self, monkeypatch, block):
-        # Windows of one length are gathered in blocks of at most
-        # _BLOCK_SAMPLES samples; a budget of 8 is shorter than one window.
-        log = random_gaze_log(np.random.default_rng(11), 300, p_invalid=0.0)
-        whole = extract_gaze_features(log, WindowSpec(2.0)).values
-        monkeypatch.setattr(gf, "_BLOCK_SAMPLES", block)
-        split = extract_gaze_features(log, WindowSpec(2.0)).values
-        assert np.abs(split - whole).max() < 1e-12
+        # Windows are gathered, sorted by valid length and padded, in blocks
+        # of at most _BLOCK_SAMPLES samples; a budget of 8 is shorter than
+        # one window, 2048 holds tens of windows of several lengths. With
+        # bursts of track loss the full windows differ in valid length too,
+        # so blocks mix lengths beyond the truncated early windows.
+        rng = np.random.default_rng(11)
+        steady = random_gaze_log(rng, 300, p_invalid=0.0)
+        for log in (steady, _with_track_loss(steady, rng)):
+            whole = extract_gaze_features(log, WindowSpec(2.0)).values
+            with monkeypatch.context() as patch:
+                patch.setattr(gf, "_BLOCK_SAMPLES", block)
+                split = extract_gaze_features(log, WindowSpec(2.0)).values
+            assert np.abs(split - whole).max() < 1e-12
 
     def test_one_row_per_frame(self):
         rng = np.random.default_rng(10)
@@ -325,11 +340,11 @@ _coordinates = st.integers(-160, 160).map(lambda i: i / 64.0)
 @st.composite
 def gaze_logs(draw):
     n = draw(st.integers(1, 40))
-    style = draw(st.sampled_from(["random", "constant", "clusters"]))
+    style = draw(st.sampled_from(["random", "constant", "clusters", "bursts"]))
     if style == "constant":
         h = np.full(n, draw(_coordinates))
         v = np.full(n, draw(_coordinates))
-    elif style == "clusters":
+    elif style in ("clusters", "bursts"):
         # Runs around one point, jittered by at most 1/64 per axis (diagonal
         # under 0.05): fixations that start before a window, or run past its
         # trailing edge.
@@ -345,9 +360,17 @@ def gaze_logs(draw):
     closed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     if draw(st.booleans()):
         closed[:] = True
-    valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        valid[:] = True
+    if style == "bursts":
+        # Track loss: runs of invalid frames, some cutting a fixation, so
+        # windows of one trailing length differ in valid length.
+        valid = np.ones(n, dtype=bool)
+        runs = st.tuples(st.integers(0, n - 1), st.integers(1, 10))
+        for start, length in draw(st.lists(runs, min_size=1, max_size=4)):
+            valid[start : start + length] = False
+    else:
+        valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            valid[:] = True
     h[~valid] = np.nan
     v[~valid] = np.nan
     return GazeLog(h=h, v=v, eye_closed=closed, valid=valid, fps=FPS)
