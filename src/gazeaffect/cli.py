@@ -32,6 +32,7 @@ from .timeline import (
     DIMENSIONS,
     FeatureMatrix,
     FrameRate,
+    frames_for_duration,
     load_annotation_csv,
     load_annotation_values,
     load_feature_csv,
@@ -68,6 +69,7 @@ def extract_gaze_cmd(in_path, fps, window_seconds, columns_flag, out_path):
     with _flag_values():
         column_map = parse_gaze_columns_flag(columns_flag) if columns_flag else None
         rate, window = FrameRate(fps), WindowSpec(window_seconds)
+        frames_for_duration(window_seconds, rate)  # a window too long to count in frames
     log = load_gaze_log_csv(in_path, rate, column_map)
     matrix = extract_gaze_features(log, window)
     save_feature_csv(matrix, out_path)

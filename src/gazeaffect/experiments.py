@@ -416,18 +416,13 @@ def run_task(task: RunTask) -> tuple[ResultRow, TrainedModel | None]:
 
     try:
         model = train_network(
-            task.spec,
-            dataset(task.train_set),
-            dataset(task.val_set),
-            task.train_config,
-            norm_stats=stats,
-            dimension=row.dimension,
-            shift_used=row.shift_frames,
-            metadata={"modality": row.modality, "network": row.network},
+            task.spec, dataset(task.train_set), dataset(task.val_set), task.train_config
         )
     except DivergenceError:
         row.status = "div"
         return row, None
+    model.norm_stats, model.dimension, model.shift_used = stats, row.dimension, row.shift_frames
+    model.metadata.update(modality=row.modality, network=row.network)
     row.val_sse = model.metadata["best_val_sse"]
     row.val_ccc = _score_ccc(model, task.val_set, stats)
     if task.test_set:

@@ -153,19 +153,6 @@ class NetworkParams:
     def b_out(self) -> float:
         return float(self.theta[-1])
 
-    @b_out.setter
-    def b_out(self, value: float) -> None:
-        self.theta[..., -1] = value
-
-    def arrays(self):
-        """All parameter arrays except b_out, in `theta` order."""
-        for layer in self.layers:
-            for d in layer:
-                yield d.w
-                yield d.r
-                yield d.b
-        yield self.w_out
-
     def clone(self) -> "NetworkParams":
         return NetworkParams(self.spec, self.theta.copy())
 
@@ -389,7 +376,7 @@ def bptt_gradients(
     dy = 2.0 * err  # (N,)
     grads = NetworkParams(spec)
     grads.w_out[...] = last_h.T @ dy
-    grads.b_out = float(dy.sum())
+    grads.theta[-1] = dy.sum()
     d_h = np.outer(dy, params.w_out)
     for dw, grad in zip(reversed(params.stacked), reversed(grads.stacked)):
         dz = _layer_backward(dw, caches.pop(), d_h, grad)  # frees each cache after use
@@ -425,10 +412,6 @@ def train_network(
     train: list[tuple[np.ndarray, np.ndarray]],
     val: list[tuple[np.ndarray, np.ndarray]],
     config: TrainConfig,
-    norm_stats: NormStats | None = None,
-    dimension: str | None = None,
-    shift_used: int | None = None,
-    metadata: dict | None = None,
 ) -> TrainedModel:
     """Early-stopped gradient-descent training; returns the best-epoch model.
 
@@ -473,21 +456,16 @@ def train_network(
                 best_epoch = epoch
             if epoch - best_epoch >= config.patience_epochs:
                 break
-    meta = {
-        "seed": config.seed,
-        "learning_rate": config.learning_rate,
-        "best_epoch": best_epoch,
-        "best_val_sse": best_val,
-    }
-    meta.update(metadata or {})
     return TrainedModel(
         spec=spec,
         params=best_params,
-        norm_stats=norm_stats,
-        dimension=dimension,
-        shift_used=shift_used,
         history=history,
-        metadata=meta,
+        metadata={
+            "seed": config.seed,
+            "learning_rate": config.learning_rate,
+            "best_epoch": best_epoch,
+            "best_val_sse": best_val,
+        },
     )
 
 
@@ -538,10 +516,8 @@ def gradient_check(
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(sequence_length, spec.input_dim))
     y = rng.normal(size=sequence_length)
-    params = init_network(spec, seed)
-    for arr in params.arrays():
-        arr[...] = rng.normal(0.0, 0.3, size=arr.shape)
-    params.b_out = float(rng.normal(0.0, 0.3))
+    params = NetworkParams(spec)
+    params.theta[...] = rng.normal(0.0, 0.3, size=params.theta.size)
     ga = bptt_gradients(params, spec, x, y)[0].theta
     theta = params.theta
     gn = np.empty_like(ga)
@@ -566,20 +542,16 @@ def gradient_check(
 # ---------------------------------------------------------------------------
 # Model persistence
 
-def _direction_names(li: int, layer_spec: LayerSpec) -> list[str]:
-    if layer_spec.kind == "lstm":
-        return [f"layer{li}"]
-    return [f"layer{li}_forward", f"layer{li}_backward"]
-
-
-def _direction_to_dict(dw: DirectionWeights) -> dict:
-    h = dw.hidden
-    doc = {}
-    for gi, gate in enumerate(GATE_ORDER):
-        doc[f"w_{gate}"] = dw.w[gi * h : (gi + 1) * h].ravel().tolist()
-        doc[f"r_{gate}"] = dw.r[gi * h : (gi + 1) * h].ravel().tolist()
-        doc[f"b_{gate}"] = dw.b[gi * h : (gi + 1) * h].tolist()
-    return doc
+def _named_views(params: NetworkParams):
+    """(entry, key, view) for every recurrent weight block, in model-file
+    order: per layer and direction, the w, r and b rows of each gate."""
+    for li, directions in enumerate(params.layers):
+        suffixes = [""] if len(directions) == 1 else ["_forward", "_backward"]
+        for suffix, dw in zip(suffixes, directions):
+            h = dw.hidden
+            for gi, gate in enumerate(GATE_ORDER):
+                for prefix, arr in (("w", dw.w), ("r", dw.r), ("b", dw.b)):
+                    yield f"layer{li}{suffix}", f"{prefix}_{gate}", arr[gi * h : (gi + 1) * h]
 
 
 def _fill(view: np.ndarray, values, name: str) -> None:
@@ -592,24 +564,12 @@ def _fill(view: np.ndarray, values, name: str) -> None:
     view[...] = flat.reshape(view.shape)
 
 
-def _direction_from_dict(doc: dict, dw: DirectionWeights, name: str) -> None:
-    h = dw.hidden
-    for gi, gate in enumerate(GATE_ORDER):
-        rows = slice(gi * h, (gi + 1) * h)
-        for prefix, view in (("w", dw.w[rows]), ("r", dw.r[rows]), ("b", dw.b[rows])):
-            _fill(view, doc[f"{prefix}_{gate}"], f"{name}.{prefix}_{gate}")
-
-
 def save_model(model: TrainedModel, path: str | Path) -> None:
     """Serialize a trained model to JSON with round-trip-exact weights."""
     weights = {}
-    for li, (layer_spec, directions) in enumerate(zip(model.spec.layers, model.params.layers)):
-        for name, dw in zip(_direction_names(li, layer_spec), directions):
-            weights[name] = _direction_to_dict(dw)
-    weights["readout"] = {
-        "w": model.params.w_out.tolist(),
-        "b": model.params.b_out,
-    }
+    for entry, key, view in _named_views(model.params):
+        weights.setdefault(entry, {})[key] = view.ravel().tolist()
+    weights["readout"] = {"w": model.params.w_out.tolist(), "b": model.params.b_out}
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "spec": model.spec.to_dict(),
@@ -625,9 +585,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 def _params_from_dict(spec: NetworkSpec, weights: dict) -> NetworkParams:
     params = NetworkParams(spec)
-    for li, (layer_spec, directions) in enumerate(zip(spec.layers, params.layers)):
-        for name, dw in zip(_direction_names(li, layer_spec), directions):
-            _direction_from_dict(weights[name], dw, name)
+    for entry, key, view in _named_views(params):
+        _fill(view, weights[entry][key], f"{entry}.{key}")
     readout = weights["readout"]
     _fill(params.w_out, readout["w"], "readout.w")
     _fill(params.theta[-1:], [readout["b"]], "readout.b")
@@ -660,12 +619,20 @@ def load_model(path: str | Path) -> TrainedModel:
     except (AttributeError, TypeError, ValueError) as exc:
         raise DataError(f"model spec or weights are malformed: {exc}") from exc
     stats = doc.get("norm_stats")
+    try:
+        norm_stats = NormStats.from_dict(stats) if stats else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"model field 'norm_stats' is malformed: {exc!r}") from exc
+    try:
+        history = [(tr, va) for tr, va in doc.get("history", [])]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"model field 'history' is malformed: {exc}") from exc
     return TrainedModel(
         spec=spec,
         params=params,
-        norm_stats=NormStats.from_dict(stats) if stats else None,
+        norm_stats=norm_stats,
         dimension=doc.get("dimension"),
         shift_used=doc.get("shift_used"),
-        history=[(tr, va) for tr, va in doc.get("history", [])],
+        history=history,
         metadata=doc.get("metadata", {}),
     )

@@ -52,6 +52,8 @@ def frames_for_duration(seconds: float, fps: FrameRate) -> int:
     if not (seconds > 0 and math.isfinite(seconds)):
         raise DataError(f"duration must be positive, got {seconds}")
     exact = seconds * fps.fps
+    if not math.isfinite(exact):
+        raise DataError(f"duration {seconds} s at {fps.fps:g} fps overflows the frame count")
     return max(1, int(math.floor(exact + 0.5)))
 
 

@@ -193,6 +193,7 @@ class TestFlagFaults:
             ["synth", "--frames", "10", "--lag", "10"],
             ["extract-gaze", "--fps", "25", "--window-seconds", "0"],
             ["extract-gaze", "--fps", "25", "--window-seconds", "inf"],
+            ["extract-gaze", "--fps", "25", "--window-seconds", "1e308"],
             ["extract-gaze", "--fps", "0"],
             ["extract-gaze", "--fps", "25", "--gaze-columns", "h:gx"],
             ["fuse", "--speech", "s.csv", "--gaze", "g.csv", "--fps", "0"],
@@ -345,6 +346,19 @@ class TestExperimentsCommands:
         code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == "config error: unknown config field(s) 'training.momentum'\n"
+
+    def test_window_frame_overflow_exit_2(self, corpus_dir, tmp_path, capsys):
+        # finite and positive, so the config accepts it; the frame count
+        # overflows once the corpus's frame rate is known
+        config = write_config(
+            tmp_path / "c.json", corpus_dir, modalities=["gaze"],
+            window_seconds={"arousal": 1e308},
+        )
+        code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: duration 1e+308 s at 25 fps overflows the frame count\n"
+        )
 
     def test_mixed_frame_rates_exit_2(self, corpus_dir, tmp_path, capsys):
         corpus = tmp_path / "mixed"

@@ -331,6 +331,13 @@ class TestCrossCorpus:
         assert row.test_ccc is not None
         conv = models[0].metadata["shift_conversion"]
         assert conv["train_shift_frames"] == conv["test_shift_frames"] == 0
+        # run_task sets what train_network leaves unset
+        assert (models[0].dimension, models[0].shift_used) == (row.dimension, row.shift_frames)
+        assert models[0].norm_stats is not None
+        assert list(models[0].metadata) == [
+            "seed", "learning_rate", "best_epoch", "best_val_sse",
+            "modality", "network", "shift_conversion",
+        ]
 
     def test_both_directions(self, corpus_dir, tmp_path):
         other = tmp_path / "other2"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 import gazeaffect.network as nw
 from gazeaffect.errors import DataError, DivergenceError
-from gazeaffect.fusion import fit_norm_stats
+from gazeaffect.fusion import NormStats, fit_norm_stats
 from gazeaffect.metrics import ccc
 from gazeaffect.network import (
     LayerSpec,
@@ -65,15 +66,13 @@ class TestInit:
         spec = small_spec()
         a = init_network(spec, 1787452436)
         b = init_network(spec, 1787452436)
-        for x, y in zip(a.arrays(), b.arrays()):
-            assert np.array_equal(x, y)
-        assert a.b_out == b.b_out
+        assert np.array_equal(a.theta, b.theta)
 
     def test_different_seeds_differ(self):
         spec = small_spec()
         a = init_network(spec, 1787452436)
         b = init_network(spec, 123456789)
-        assert any(not np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
+        assert not np.array_equal(a.theta, b.theta)
 
     def test_blstm_direction_split(self):
         spec = NetworkSpec(layers=(LayerSpec("blstm", 40),), input_dim=4)
@@ -93,9 +92,7 @@ class TestForward:
     def test_zero_weights_zero_output(self):
         spec = small_spec()
         params = init_network(spec, 0)
-        for arr in params.arrays():
-            arr[...] = 0.0
-        params.b_out = 0.0
+        params.theta[...] = 0.0
         preds, _ = network_forward(params, spec, np.random.default_rng(0).normal(size=(20, 5)))
         assert np.array_equal(preds, np.zeros(20))
 
@@ -189,13 +186,24 @@ class TestGradients:
         targets = predict(params, spec, x)
         grads, loss = bptt_gradients(params, spec, x, targets)
         assert loss == 0.0
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.arrays())
-        assert grads.b_out == 0.0
+        assert np.array_equal(grads.theta, np.zeros_like(grads.theta))
 
     @pytest.mark.parametrize("kind", ["lstm", "blstm"])
     def test_finite_difference_check(self, kind):
         report = gradient_check(small_spec(kind), seed=12, sequence_length=20)
         assert report.max_relative_error < 1e-4
+
+    @pytest.mark.parametrize(
+        "kind, error, n_parameters, worst",
+        [("lstm", 1.50939434508026e-05, 815, 233), ("blstm", 1.925029571630334e-05, 615, 292)],
+    )
+    def test_golden_report(self, kind, error, n_parameters, worst):
+        # Pins the parameter draw: one normal draw over theta, after x and y.
+        # BLAS kernels round the finite differences differently (about 2e-9
+        # relative across OpenBLAS core types), so the error is pinned to 1e-8.
+        report = gradient_check(small_spec(kind), seed=3, sequence_length=11)
+        assert (report.n_parameters, report.worst_index) == (n_parameters, worst)
+        assert report.max_relative_error == pytest.approx(error, rel=1e-8)
 
     def test_check_catches_corrupted_gradient(self, monkeypatch):
         real = nw.bptt_gradients
@@ -255,9 +263,7 @@ class TestGradients:
         # Zero weights + zero targets: every relative error stays defined.
         spec = small_spec("lstm", (4,), input_dim=2)
         params = init_network(spec, 0)
-        for arr in params.arrays():
-            arr[...] = 0.0
-        params.b_out = 0.0
+        params.theta[...] = 0.0
         x = np.zeros((8, 2))
         grads, loss = bptt_gradients(params, spec, x, np.zeros(8))
         assert loss == 0.0
@@ -475,9 +481,7 @@ class TestPredictTrace:
 
     def test_zero_weight_model_predicts_target_mean(self):
         model, matrix = build_model_with_stats()
-        for arr in model.params.arrays():
-            arr[...] = 0.0
-        model.params.b_out = 0.0
+        model.params.theta[...] = 0.0
         m = FeatureMatrix(names=matrix.names, values=np.zeros((10, 4)), fps=FPS)
         preds = predict_trace(model, m)
         assert preds == pytest.approx(np.full(10, model.norm_stats.target_mean))
@@ -498,7 +502,53 @@ def saved_doc(tmp_path):
     return path, json.loads(path.read_text())
 
 
+def golden_model(kind, sizes, seed=4):
+    spec = small_spec(kind, sizes, input_dim=3)
+    params = init_network(spec, seed)
+    params.theta += np.arange(params.theta.size) / 1024  # distinct biases place every gate row
+    stats = NormStats(
+        ("f0", "f1", "f2"), np.array([0.5, -1.25, 2.0]), np.array([1.5, 0.25, 3.0]), 0.125, 2.5
+    )
+    return TrainedModel(
+        spec=spec,
+        params=params,
+        norm_stats=stats,
+        dimension="valence",
+        shift_used=42,
+        history=[(3.5, 2.25), (2.0, 1.75)],
+        metadata={"seed": seed, "modality": "fused", "network": kind},
+    )
+
+
 class TestPersistence:
+    @pytest.mark.parametrize(
+        "kind, sizes, sha256",
+        [
+            ("lstm", (6,), "ac1eccaeecb08d319afa0025cbed1ef57a33818b474dac2b35b6611b7adcbbda"),
+            ("blstm", (6, 4), "cbea8bea14d2832a5743d3a605e5f613e2333f05ad5dae78e40070f454eac5de"),
+        ],
+    )
+    def test_golden_model_file(self, tmp_path, kind, sizes, sha256):
+        # The model-file layout, byte for byte: entry and key order, and which
+        # rows of theta each gate's w, r and b lists hold.
+        path = tmp_path / "model.json"
+        save_model(golden_model(kind, sizes), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+        loaded = load_model(path)
+        save_model(loaded, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("history", [1]), ("norm_stats", {"a": 1}), ("norm_stats", [1])],
+    )
+    def test_malformed_field_names_it(self, tmp_path, field, value):
+        path, doc = saved_doc(tmp_path)
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"'{field}'"):
+            load_model(path)
+
     def test_round_trip_predictions(self, tmp_path):
         model, matrix = build_model_with_stats()
         path = tmp_path / "model.json"
@@ -564,5 +614,6 @@ class TestPersistence:
 
     def test_pickled_params_views_share_theta(self):
         params = pickle.loads(pickle.dumps(init_network(small_spec("blstm"), 0)))
-        views = [*params.arrays(), *(a for s in params.stacked for a in (s.w, s.r, s.b))]
+        directions = [*params.stacked, *(d for layer in params.layers for d in layer)]
+        views = [params.w_out, *(a for d in directions for a in (d.w, d.r, d.b))]
         assert all(np.shares_memory(v, params.theta) for v in views)
