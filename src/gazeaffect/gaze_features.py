@@ -187,20 +187,20 @@ def _run_means(x: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return sums / (end - start)
 
 
-def _group_mean_std(keys: np.ndarray, x: np.ndarray, groups: int):
-    """Per group: sample count, mean and population std (two-pass) of x."""
-    count = np.bincount(keys, minlength=groups)
+def _group_mean_std(keys: np.ndarray, x: np.ndarray, count: np.ndarray):
+    """Per group (keys index count, the groups' sample counts): mean and
+    population std (two-pass) of x."""
     n = np.maximum(count, 1)
-    mean = np.bincount(keys, x, groups) / n
-    return count, mean, np.sqrt(np.bincount(keys, (x - mean[keys]) ** 2, groups) / n)
+    mean = np.bincount(keys, x, len(count)) / n
+    return mean, np.sqrt(np.bincount(keys, (x - mean[keys]) ** 2, len(count)) / n)
 
 
 def _path_stats(r: np.ndarray, ch: np.ndarray, cv: np.ndarray, ranges: int) -> np.ndarray:
     """(mean, population std) per range of the distances between consecutive
     fixation centroids; r holds each fixation's range, sorted."""
     same = r[1:] == r[:-1]
-    segments = np.hypot(np.diff(ch), np.diff(cv))[same]
-    return np.stack(_group_mean_std(r[1:][same], segments, ranges)[1:], -1)
+    segments, keys = np.hypot(np.diff(ch), np.diff(cv))[same], r[1:][same]
+    return np.stack(_group_mean_std(keys, segments, np.bincount(keys, minlength=ranges)), -1)
 
 
 def _mask(x: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -258,16 +258,20 @@ def _band_powers(x: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _zone_spread(x: np.ndarray, n: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """(mean, population std) over the first n samples of each row (last
-    axis) of the per-cell stds of x, over the cells (given per sample) that
-    hold at least 2 of those samples."""
-    series = np.arange(np.prod(x.shape[:-1])).reshape(*x.shape[:-1], 1)
-    kept = np.broadcast_to(_mask(x, n), x.shape)
-    keys = (cells + n_cells * series)[kept]
-    count, _, std = _group_mean_std(keys, x[kept], series.size * n_cells)
+    """Per axis and row of x (axis, row, sample): (mean, population std) of
+    the per-cell stds of the row's first n samples, over the cells that hold
+    at least 2 of them; the axes share the cells (row, sample)."""
+    mask = _mask(x, n)
+    keys = (cells + n_cells * np.arange(len(n))[:, None])[mask]
+    count = np.bincount(keys, minlength=len(n) * n_cells)
     full = np.flatnonzero(count >= 2)
-    spread = _group_mean_std(full // n_cells, std[full], series.size)[1:]
-    return np.stack(spread, -1).reshape(*x.shape[:-1], 2)
+    owner = full // n_cells
+    owned = np.bincount(owner, minlength=len(n))
+    spread = []
+    for axis in x:
+        std = _group_mean_std(keys, axis[mask], count)[1][full]
+        spread.append(np.stack(_group_mean_std(owner, std, owned), -1))
+    return np.stack(spread)
 
 
 def _blocks(n: np.ndarray, budget: int):

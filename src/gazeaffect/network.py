@@ -65,12 +65,8 @@ class NetworkSpec:
 
     def layer_widths(self) -> list[tuple[int, int]]:
         """(input width, output width) for each layer, in order."""
-        widths = []
-        in_dim = self.input_dim
-        for layer in self.layers:
-            widths.append((in_dim, layer.size))
-            in_dim = layer.size
-        return widths
+        sizes = [self.input_dim] + [l.size for l in self.layers]
+        return list(zip(sizes[:-1], sizes[1:]))
 
     def to_dict(self) -> dict:
         return {
@@ -593,6 +589,15 @@ def _params_from_dict(spec: NetworkSpec, weights: dict) -> NetworkParams:
     return params
 
 
+_MODEL_FIELDS = (  # (name, default, expected, check) of the plain model-file fields
+    ("dimension", None, "a string or null", lambda x: x is None or isinstance(x, str)),
+    ("shift_used", None, "an integer or null", lambda x: x is None or type(x) is int),
+    ("history", [], "a list of [train, val] number pairs", lambda x: isinstance(x, list) and all(
+        isinstance(p, list) and len(p) == 2 and {type(e) for e in p} <= {int, float} for p in x)),
+    ("metadata", {}, "an object", lambda x: isinstance(x, dict)),
+)
+
+
 def load_model(path: str | Path) -> TrainedModel:
     """Load a model JSON; rejects truncated files, version mismatches and
     weights that do not match the spec."""
@@ -623,16 +628,10 @@ def load_model(path: str | Path) -> TrainedModel:
         norm_stats = NormStats.from_dict(stats) if stats else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model field 'norm_stats' is malformed: {exc!r}") from exc
-    try:
-        history = [(tr, va) for tr, va in doc.get("history", [])]
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"model field 'history' is malformed: {exc}") from exc
-    return TrainedModel(
-        spec=spec,
-        params=params,
-        norm_stats=norm_stats,
-        dimension=doc.get("dimension"),
-        shift_used=doc.get("shift_used"),
-        history=history,
-        metadata=doc.get("metadata", {}),
-    )
+    fields = {}
+    for name, default, expected, ok in _MODEL_FIELDS:
+        fields[name] = doc.get(name, default)
+        if not ok(fields[name]):
+            raise DataError(f"model field {name!r} must be {expected}, got {fields[name]!r:.80}")
+    fields["history"] = [tuple(pair) for pair in fields["history"]]
+    return TrainedModel(spec=spec, params=params, norm_stats=norm_stats, **fields)

@@ -9,7 +9,6 @@ experiments are both testable from one corpus family.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .timeline import DIMENSIONS, FeatureMatrix, FrameRate, save_feature_csv
+from .timeline import DIMENSIONS, FeatureMatrix, FrameRate, save_feature_csv, save_numeric_csv
 
 SPEECH_SIGNAL_COLUMN = "speech_env"
 
@@ -48,17 +47,20 @@ class SyntheticCorpusSpec:
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
-    std = x.std()
-    return (x - x.mean()) / (std if std > 1e-12 else 1.0)
+    """Each series (last axis) of x, in place, to zero mean and unit population std."""
+    std = x.std(-1, keepdims=True)
+    x -= x.mean(-1, keepdims=True)
+    return np.divide(x, np.where(std > 1e-12, std, 1.0), out=x)
 
 
-def _ar1(rng: np.random.Generator, n: int, coeff: float) -> np.ndarray:
-    noise = rng.normal(size=n)
-    out = np.empty(n)
-    out[0] = noise[0]
-    for t in range(1, n):
-        out[t] = coeff * out[t - 1] + noise[t]
-    return _standardize(out)
+def _ar1(rng: np.random.Generator, shape: int | tuple[int, int], coeff: float) -> np.ndarray:
+    """Standardized AR(1) series along the last axis of `shape`, stepped
+    together in place over one normal draw, which fills them row by row."""
+    x = rng.normal(size=shape)
+    steps = x.T  # time-major view
+    for t in range(1, len(steps)):
+        steps[t] += coeff * steps[t - 1]
+    return _standardize(x)
 
 
 def _slow_wave(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -92,10 +94,9 @@ def _generate_recording(spec: SyntheticCorpusSpec, out_dir: Path, rec_id: str, r
     gaze_latent = _slow_wave(rng, n)
 
     # Speech features: the latent plus distractor channels.
-    speech = np.empty((n, spec.speech_dim))
-    speech[:, 0] = speech_latent + 0.05 * rng.normal(size=n)
-    for j in range(1, spec.speech_dim):
-        speech[:, j] = 0.3 * speech_latent + _ar1(rng, n, 0.8)
+    signal = speech_latent + 0.05 * rng.normal(size=n)
+    aux = _ar1(rng, (spec.speech_dim - 1, n), 0.8)  # (channel, frame)
+    speech = np.column_stack([signal, np.add(aux, 0.3 * speech_latent, out=aux).T])
     speech_names = (SPEECH_SIGNAL_COLUMN,) + tuple(
         f"speech_aux{j}" for j in range(1, spec.speech_dim)
     )
@@ -106,8 +107,14 @@ def _generate_recording(spec: SyntheticCorpusSpec, out_dir: Path, rec_id: str, r
     closed = _closure_flags(rng, n)
     valid = (rng.random(n) >= 0.02).astype(int)
 
+    speech_path = out_dir / f"{rec_id}_speech.csv"
+    gaze_path = out_dir / f"{rec_id}_gaze.csv"
+    save_feature_csv(FeatureMatrix(speech_names, speech, fps), speech_path)
+    columns = (h.tolist(), v.tolist(), closed.tolist(), valid.tolist())
+    save_numeric_csv(gaze_path, ["frame", "h", "v", "eye_closed", "valid"], zip(range(n), *columns))
+
     # Annotations: lagged mixture of the two latents, per dimension.
-    traces = {}
+    ann_paths = {}
     for dim in DIMENSIONS:
         if dim == "arousal":
             w_s, w_g = spec.speech_weight, spec.gaze_weight
@@ -116,24 +123,9 @@ def _generate_recording(spec: SyntheticCorpusSpec, out_dir: Path, rec_id: str, r
         core = np.zeros(n)
         k = spec.lag_frames
         core[k:] = w_s * speech_latent[: n - k] + w_g * gaze_latent[: n - k]
-        trace = 0.5 * core + spec.noise_level * rng.normal(size=n)
-        traces[dim] = np.clip(trace, -1.0, 1.0)
-
-    speech_path = out_dir / f"{rec_id}_speech.csv"
-    gaze_path = out_dir / f"{rec_id}_gaze.csv"
-    save_feature_csv(FeatureMatrix(speech_names, speech, fps), speech_path)
-    with open(gaze_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "h", "v", "eye_closed", "valid"])
-        writer.writerows(
-            [str(t), repr(float(h[t])), repr(float(v[t])), str(closed[t]), str(valid[t])]
-            for t in range(n)
-        )
-    ann_paths = {}
-    for dim, values in traces.items():
-        p = out_dir / f"{rec_id}_{dim}.csv"
-        save_feature_csv(FeatureMatrix(("value",), values[:, None], fps), p)
-        ann_paths[dim] = p.name
+        trace = np.clip(0.5 * core + spec.noise_level * rng.normal(size=n), -1.0, 1.0)
+        ann_paths[dim] = f"{rec_id}_{dim}.csv"
+        save_feature_csv(FeatureMatrix(("value",), trace[:, None], fps), out_dir / ann_paths[dim])
     return {
         "id": rec_id,
         "fps": spec.fps,

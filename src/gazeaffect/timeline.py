@@ -52,7 +52,7 @@ def frames_for_duration(seconds: float, fps: FrameRate) -> int:
     if not (seconds > 0 and math.isfinite(seconds)):
         raise DataError(f"duration must be positive, got {seconds}")
     exact = seconds * fps.fps
-    if not math.isfinite(exact):
+    if not exact + 0.5 < 2.0**63:  # the count must fit an int64 frame index
         raise DataError(f"duration {seconds} s at {fps.fps:g} fps overflows the frame count")
     return max(1, int(math.floor(exact + 0.5)))
 
@@ -273,10 +273,15 @@ def load_feature_csv(path: str | Path, fps: FrameRate) -> FeatureMatrix:
 
 def save_feature_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     """Write a FeatureMatrix as CSV with round-trip-exact decimal formatting."""
+    save_numeric_csv(path, matrix.names, map(np.ndarray.tolist, matrix.values))
+
+
+def save_numeric_csv(path: str | Path, header, rows) -> None:
+    """Write a header (through csv.writer: names may need quoting) and rows of
+    ints and floats, as the reprs that csv.writer writes and never quotes."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix.names)
-        writer.writerows(map(repr, row.tolist()) for row in matrix.values)  # one row in memory
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def load_gaze_log_csv(

@@ -194,6 +194,7 @@ class TestFlagFaults:
             ["extract-gaze", "--fps", "25", "--window-seconds", "0"],
             ["extract-gaze", "--fps", "25", "--window-seconds", "inf"],
             ["extract-gaze", "--fps", "25", "--window-seconds", "1e308"],
+            ["extract-gaze", "--fps", "25", "--window-seconds", "1e300"],
             ["extract-gaze", "--fps", "0"],
             ["extract-gaze", "--fps", "25", "--gaze-columns", "h:gx"],
             ["fuse", "--speech", "s.csv", "--gaze", "g.csv", "--fps", "0"],
@@ -358,6 +359,18 @@ class TestExperimentsCommands:
         assert code == 2
         assert capsys.readouterr().err == (
             "data error: duration 1e+308 s at 25 fps overflows the frame count\n"
+        )
+
+    def test_window_frame_count_beyond_int64_exit_2(self, corpus_dir, tmp_path, capsys):
+        # a finite frame count (2.5e301) that no int64 frame index holds
+        config = write_config(
+            tmp_path / "c.json", corpus_dir, modalities=["gaze"],
+            window_seconds={"arousal": 1e300},
+        )
+        code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: duration 1e+300 s at 25 fps overflows the frame count\n"
         )
 
     def test_mixed_frame_rates_exit_2(self, corpus_dir, tmp_path, capsys):

@@ -540,7 +540,22 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("history", [1]), ("norm_stats", {"a": 1}), ("norm_stats", [1])],
+        [
+            ("history", [1]),
+            ("norm_stats", {"a": 1}),
+            ("norm_stats", [1]),
+            ("history", [["a", "b"]]),
+            ("history", [[1.0, 2.0, 3.0]]),
+            ("history", [[1.0, True]]),
+            ("history", {"0": [1.0, 2.0]}),
+            ("metadata", 5),
+            ("metadata", [["seed", 3]]),
+            ("dimension", 7),
+            ("dimension", ["arousal"]),
+            ("shift_used", 69.0),
+            ("shift_used", "69"),
+            ("shift_used", True),
+        ],
     )
     def test_malformed_field_names_it(self, tmp_path, field, value):
         path, doc = saved_doc(tmp_path)
@@ -548,6 +563,24 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=f"'{field}'"):
             load_model(path)
+
+    def test_wrongly_typed_fields_do_not_load(self, tmp_path):
+        # a model file whose plain fields all have the wrong type once loaded
+        # as history [('a', 'b')], metadata 5 and dimension 7
+        path, doc = saved_doc(tmp_path)
+        doc.update(history=[["a", "b"]], metadata=5, dimension=7)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="model field '(history|metadata|dimension)'"):
+            load_model(path)
+
+    def test_null_and_absent_fields_load(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        doc.update(dimension=None, shift_used=None, history=[[1, 2.5]])
+        del doc["metadata"]
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert (loaded.dimension, loaded.shift_used, loaded.metadata) == (None, None, {})
+        assert loaded.history == [(1, 2.5)]
 
     def test_round_trip_predictions(self, tmp_path):
         model, matrix = build_model_with_stats()

@@ -1,4 +1,6 @@
+import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from gazeaffect.timeline import (
     load_gaze_log_csv,
     parse_gaze_columns_flag,
     save_feature_csv,
+    save_numeric_csv,
 )
 
 
@@ -41,6 +44,13 @@ class TestFramesForDuration:
             d = float(rng.uniform(0.5, 10))
             frames = frames_for_duration(d, fps)
             assert abs(frames / fps.fps - d) <= 0.5 / fps.fps + 1e-12
+
+    def test_count_must_fit_int64(self, fps25):
+        largest = float(2**63 - 1024)  # the largest float below 2**63
+        assert frames_for_duration(largest / 25, fps25) == 2**63 - 1024
+        for seconds in (2.0**63 / 25, 1e300, 1e308):
+            with pytest.raises(DataError, match="overflows the frame count"):
+                frames_for_duration(seconds, fps25)
 
 
 class TestFrameRate:
@@ -90,6 +100,38 @@ class TestFeatureCsv:
         back = load_feature_csv(p, fps25)
         assert back.names == m.names
         assert np.array_equal(back.values, m.values)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # The row writer skips csv.writer for the body; its bytes must not
+        # change, so they are checked against csv.writer's own, including
+        # values a FeatureMatrix would reject and a header that needs quoting.
+        values = np.array([
+            [np.nan, np.inf, -np.inf, -0.0],
+            [1e-300, 1e16, 3.0, -7.0],
+            [0.1, -2.5e-8, 1e308, 5e-324],
+        ])
+        names = ("plain", 'comma, "quoted"', "x y", "")
+        expected = tmp_path / "csv_writer.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            writer.writerows(map(repr, row) for row in values.tolist())
+        written = tmp_path / "written.csv"
+        save_feature_csv(SimpleNamespace(names=names, values=values), written)
+        assert written.read_bytes() == expected.read_bytes()
+        assert b'"comma, ""quoted"""' in written.read_bytes()
+
+    def test_int_and_float_rows_match_csv_writer(self, tmp_path):
+        # the gaze-log form: int frame and flag cells beside float cells
+        header = ["frame", "h", "v", "eye_closed", "valid"]
+        rows = [[0, -0.25, 1e-17, 0, 1], [1, 0.5, -1.0, 1, 0], [12345678901, 2.0, 0.0, 0, 1]]
+        expected = tmp_path / "csv_writer.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([str(c) if isinstance(c, int) else repr(c) for c in row] for row in rows)
+        save_numeric_csv(tmp_path / "written.csv", header, rows)
+        assert (tmp_path / "written.csv").read_bytes() == expected.read_bytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
