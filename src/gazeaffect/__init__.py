@@ -3,8 +3,6 @@
 from .errors import ConfigError, DataError, DivergenceError, GazeAffectError
 from .fusion import (
     NormStats,
-    ShiftConversion,
-    ShiftSpec,
     convert_shift,
     denormalize_target,
     fit_norm_stats,

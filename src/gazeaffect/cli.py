@@ -23,7 +23,7 @@ from .experiments import (
     run_shift_sweep,
     save_results_csv,
 )
-from .fusion import ShiftSpec, fuse_features, shift_annotations
+from .fusion import fuse_features, shift_annotations
 from .gaze_features import WindowSpec, extract_gaze_features
 from .metrics import ccc, pearson, sse
 from .network import save_model
@@ -103,9 +103,10 @@ def shift_cmd(annotations, frames, dimension, fps, out_path):
     """Shift annotations back in time by N frames, zero-padding the tail."""
     with _flag_values():
         rate = FrameRate(fps)
-        spec = ShiftSpec(frames, rate)
+    if frames < 0:
+        raise ConfigError("shift frames must be non-negative")
     trace = load_annotation_csv(annotations, dimension, rate)
-    shifted = shift_annotations(trace, spec)
+    shifted = shift_annotations(trace, frames)
     save_feature_csv(FeatureMatrix(("value",), shifted.values[:, None], rate), out_path)
     click.echo(f"wrote {len(shifted)} shifted values to {out_path}")
 

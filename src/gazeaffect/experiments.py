@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError
 from .fusion import (
-    ShiftSpec,
     convert_shift,
     denormalize_target,
     fit_norm_stats,
@@ -391,16 +390,6 @@ class RunTask:
     test_set: list | None
 
 
-def _prepare_shifted(
-    recs: list[RecordingData], modality: str, shift_frames: int
-) -> list[tuple[FeatureMatrix, AnnotationTrace]]:
-    out = []
-    for rec in recs:
-        shift = ShiftSpec(shift_frames, rec.annotation.fps)
-        out.append((rec.features[modality], shift_annotations(rec.annotation, shift)))
-    return out
-
-
 def run_task(task: RunTask) -> tuple[ResultRow, TrainedModel | None]:
     """Train one grid point and score it; divergence yields a 'div' row."""
     row = task.row
@@ -477,14 +466,13 @@ def _grid(config, modalities, shifts, corpus, test) -> list[RunTask]:
                 f"feature-name mismatch between training and test recordings "
                 f"for modality {modality!r}"
             )
-        sets = {
-            shift: (
-                _prepare_shifted(train, modality, shift),
-                _prepare_shifted(val, modality, shift),
-                _prepare_shifted(test_recs, modality, test_shift) if test_recs else None,
-            )
-            for shift in shifts
-        }
+
+        def shifted(part, k):  # a partition's (features, trace shifted by k); None stays None
+            return part and [(r.features[modality], shift_annotations(r.annotation, k))
+                             for r in part]
+
+        sets = {shift: (shifted(train, shift), shifted(val, shift), shifted(test_recs, test_shift))
+                for shift in shifts}
         for net in config.networks:
             spec = net.build_spec(len(names))
             for shift in shifts:
@@ -506,12 +494,27 @@ def _grid(config, modalities, shifts, corpus, test) -> list[RunTask]:
     return tasks
 
 
-def sweep_shifts(config: ExperimentConfig, fps: float) -> list[int]:
-    """Shift grid: anchor +/- range_seconds at the sweep stride, clamped at 0."""
+def _shortest_trace(recs: list[RecordingData]) -> int:
+    """Frames of the shortest training or validation trace: every shift must be below it."""
+    fitted = _partition(recs, "train") + _partition(recs, "validation")
+    return min(len(r.annotation) for r in fitted)
+
+
+def sweep_shifts(config: ExperimentConfig, fps: float, trace_frames: int) -> list[int]:
+    """Shift grid: anchor + k * stride for |k| * stride <= range_seconds * fps,
+    clamped at 0. A grid whose top shift does not fit a trace of `trace_frames`
+    raises DataError naming its smallest shift that does not fit."""
     anchor = config.shift.anchor_frames[config.dimension]
     stride = config.shift.stride_frames
-    steps = int(round(config.shift.range_seconds * fps)) // stride
-    return sorted({max(0, anchor + k * stride) for k in range(-steps, steps + 1)})
+    reach = config.shift.range_seconds * fps
+    steps = int(round(reach)) // stride if reach < math.inf else math.inf
+    if steps * stride >= trace_frames - anchor:
+        # the smallest k >= -steps with anchor + k * stride >= trace_frames
+        k = max(-steps, -((anchor - trace_frames) // stride))
+        raise DataError(f"shift of {anchor + k * stride} frames >= trace length {trace_frames}")
+    low = max(-steps, -anchor // stride + 1)  # the lowest k whose shift is positive
+    zero = [0] if anchor - steps * stride <= 0 else []
+    return zero + list(range(anchor + low * stride, anchor + steps * stride + 1, stride))
 
 
 def run_shift_sweep(
@@ -521,7 +524,8 @@ def run_shift_sweep(
     per network kind (argmax of validation CCC)."""
     corpus = _load(config, config.train_manifest, (modality,))
     fps = _partition(corpus[1], "train")[0].annotation.fps.fps
-    tasks = _grid(config, (modality,), sweep_shifts(config, fps), corpus, None)
+    shifts = sweep_shifts(config, fps, _shortest_trace(corpus[1]))
+    tasks = _grid(config, (modality,), shifts, corpus, None)
     table, _ = _execute(tasks, config.jobs)
     best: dict[str, int] = {}
     for net in config.networks:
@@ -577,36 +581,37 @@ def relative_improvement(fused: float, best_unimodal: float) -> float:
 
 def run_cross_corpus(config: ExperimentConfig) -> tuple[ResultsTable, list[TrainedModel]]:
     """Train on corpus A, test once on corpus B's test partition (and the
-    reverse direction when configured). The shift is converted to B's frame
-    rate, honoring any configured override."""
+    reverse direction when configured). B's annotations are shifted by the
+    configured override, or else by the shift converted to B's frame rate;
+    each model's `shift_conversion` metadata records both."""
     if config.test_manifest is None:
         raise ConfigError("cross-corpus run requires a test manifest")
     a = _load(config, config.train_manifest, config.modalities)
     b = _load(config, config.test_manifest, config.modalities)
     shift = config.shift.chosen_frames[config.dimension]
+    override = config.shift.cross_overrides.get(config.dimension)
     directions = [(a, b), (b, a)] if config.cross_both_directions else [(a, b)]
     tasks, conversions = [], []
     for corpus, (test_name, test_recs) in directions:
         test = _partition(test_recs, "test")
-        conversion = convert_shift(
-            ShiftSpec(shift, _partition(corpus[1], "train")[0].annotation.fps),
-            test[0].annotation.fps,
-            override=config.shift.cross_overrides.get(config.dimension),
+        frames = _shortest_trace(corpus[1])
+        if shift >= frames:  # checked before a shift too large for a float is converted
+            raise DataError(f"shift of {shift} frames >= trace length {frames}")
+        computed = convert_shift(
+            shift, _partition(corpus[1], "train")[0].annotation.fps, test[0].annotation.fps
         )
-        grid = _grid(
-            config, config.modalities, [shift], corpus,
-            (test_name, test, conversion.shift.frames),
-        )
+        test_shift = computed if override is None else override
+        grid = _grid(config, config.modalities, [shift], corpus, (test_name, test, test_shift))
         tasks += grid
-        conversions += [conversion] * len(grid)
+        conversions += [(test_shift, computed)] * len(grid)
     table, models = _execute(tasks, config.jobs)
-    for model, conversion in zip(models, conversions):
+    for model, (test_shift, computed) in zip(models, conversions):
         if model is not None:
             model.metadata["shift_conversion"] = {
                 "train_shift_frames": shift,
-                "test_shift_frames": conversion.shift.frames,
-                "computed_frames": conversion.computed_frames,
-                "override_frames": conversion.override_frames,
+                "test_shift_frames": test_shift,
+                "computed_frames": computed,
+                "override_frames": override,
             }
     return table, [m for m in models if m is not None]
 

@@ -13,57 +13,21 @@ from .timeline import AnnotationTrace, FeatureMatrix, FrameRate
 _STD_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    """A backward time-shift of ground-truth annotations, in frames."""
-
-    frames: int
-    source_fps: FrameRate
-
-    def __post_init__(self):
-        if self.frames < 0:
-            raise DataError("shift frames must be non-negative")
-
-
-@dataclass(frozen=True)
-class ShiftConversion:
-    """Result of converting a shift to another frame rate.
-
-    Records the rounded computed value even when an override is used, so
-    experiment reports can show both.
-    """
-
-    shift: ShiftSpec
-    computed_frames: int
-    override_frames: int | None
-
-    @property
-    def override_used(self) -> bool:
-        return self.override_frames is not None
-
-
-def shift_annotations(trace: AnnotationTrace, shift: ShiftSpec) -> AnnotationTrace:
-    """Shift annotations back in time by k frames, zero-padding the tail."""
-    k = shift.frames
+def shift_annotations(trace: AnnotationTrace, frames: int) -> AnnotationTrace:
+    """Shift annotations back in time by `frames`, zero-padding the tail."""
     n = len(trace)
-    if k >= n:
-        raise DataError(f"shift of {k} frames >= trace length {n}")
+    if frames < 0:
+        raise DataError("shift frames must be non-negative")
+    if frames >= n:
+        raise DataError(f"shift of {frames} frames >= trace length {n}")
     shifted = np.zeros(n)
-    shifted[: n - k] = trace.values[k:]
+    shifted[: n - frames] = trace.values[frames:]
     return AnnotationTrace(dimension=trace.dimension, values=shifted, fps=trace.fps)
 
 
-def convert_shift(
-    shift: ShiftSpec, target_fps: FrameRate, override: int | None = None
-) -> ShiftConversion:
-    """Convert a shift between frame rates (round-to-nearest), honoring overrides."""
-    computed = int(round(shift.frames / shift.source_fps.fps * target_fps.fps))
-    frames = override if override is not None else computed
-    return ShiftConversion(
-        shift=ShiftSpec(frames=frames, source_fps=target_fps),
-        computed_frames=computed,
-        override_frames=override,
-    )
+def convert_shift(frames: int, source_fps: FrameRate, target_fps: FrameRate) -> int:
+    """A shift of `frames` at `source_fps` in frames at `target_fps`, rounded to nearest."""
+    return int(round(frames / source_fps.fps * target_fps.fps))
 
 
 def fuse_features(

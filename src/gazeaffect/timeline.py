@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,6 +159,18 @@ class CorpusManifest:
         return [r for r in self.recordings if r.partition == name]
 
 
+_RECORDING_FIELDS = (  # (name, expected, check) of the fields of a manifest recording
+    ("id", "a string", lambda x: isinstance(x, str)),
+    ("partition", f"one of {PARTITIONS}", lambda x: x in PARTITIONS),
+    ("fps", "a positive finite number",
+     lambda x: type(x) in (int, float) and 0 < x <= sys.float_info.max),
+    ("speech", "a path string", lambda x: isinstance(x, str) and "\0" not in x),
+    ("gaze", "a path string", lambda x: isinstance(x, str) and "\0" not in x),
+    ("annotations", "an object mapping dimensions to path strings", lambda x: isinstance(x, dict)
+     and all(d in DIMENSIONS and isinstance(p, str) and "\0" not in p for d, p in x.items())),
+)
+
+
 def load_corpus_manifest(path: str | Path) -> CorpusManifest:
     """Load and validate a corpus manifest JSON file.
 
@@ -170,28 +183,26 @@ def load_corpus_manifest(path: str | Path) -> CorpusManifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "recordings" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("recordings"), list):
         raise DataError("manifest must be an object with a 'recordings' list")
     base = path.parent
     entries = []
     seen_ids: set[str] = set()
     for i, rec in enumerate(doc["recordings"]):
-        for key in ("id", "partition", "fps", "speech", "gaze", "annotations"):
-            if key not in rec:
-                raise DataError(f"recording #{i} missing field {key!r}")
+        if not isinstance(rec, dict):
+            raise DataError(f"recording #{i} must be an object, got {rec!r:.80}")
+        for name, expected, ok in _RECORDING_FIELDS:
+            if name not in rec:
+                raise DataError(f"recording #{i} missing field {name!r}")
+            if not ok(rec[name]):
+                raise DataError(
+                    f"recording #{i}: field {name!r} must be {expected}, got {rec[name]!r:.80}"
+                )
         rid = rec["id"]
         if rid in seen_ids:
             raise DataError(f"duplicate recording id {rid!r}")
         seen_ids.add(rid)
-        if rec["partition"] not in PARTITIONS:
-            raise DataError(
-                f"recording {rid!r}: unknown partition {rec['partition']!r}"
-            )
-        ann_paths = {}
-        for dim, p in rec["annotations"].items():
-            if dim not in DIMENSIONS:
-                raise DataError(f"recording {rid!r}: unknown dimension {dim!r}")
-            ann_paths[dim] = (base / p).resolve()
+        ann_paths = {dim: (base / p).resolve() for dim, p in rec["annotations"].items()}
         entry = RecordingEntry(
             id=rid,
             partition=rec["partition"],

@@ -21,7 +21,7 @@ from gazeaffect.experiments import (
     run_intra_corpus,
     run_shift_sweep,
 )
-from gazeaffect.fusion import ShiftSpec, convert_shift, shift_annotations
+from gazeaffect.fusion import convert_shift, shift_annotations
 from gazeaffect.gaze_features import (
     FixationParams,
     WindowSpec,
@@ -45,7 +45,7 @@ from gazeaffect.timeline import (
     frames_for_duration,
 )
 
-from conftest import random_gaze_log
+from conftest import cross_shift_conversion, random_gaze_log
 from oracles import ccc_direct, window_features_direct
 
 FPS = FrameRate(25.0)
@@ -152,7 +152,7 @@ def test_criterion_3_gaze_feature_oracle():
             assert np.isfinite(extract_gaze_features(deg, window).values).all()
 
 
-def test_criterion_4_shift_mechanics():
+def test_criterion_4_shift_mechanics(tmp_path, monkeypatch):
     with _Budget(4, "shift mechanics and fps conversion", 10):
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -160,18 +160,33 @@ def test_criterion_4_shift_mechanics():
             k = int(rng.integers(0, n))
             values = rng.uniform(-1, 1, n)
             trace = AnnotationTrace(dimension="arousal", values=values, fps=FPS)
-            out = shift_annotations(trace, ShiftSpec(k, FPS)).values
+            out = shift_annotations(trace, k).values
             assert len(out) == n
             assert out[: n - k] == pytest.approx(values[k:])
             assert np.array_equal(out[n - k :], np.zeros(k))
         fps30 = FrameRate(30.0)
-        conv = convert_shift(ShiftSpec(69, FPS), fps30)
-        assert conv.shift.frames == 83 and not conv.override_used
-        conv = convert_shift(ShiftSpec(69, FPS), fps30, override=84)
-        assert conv.shift.frames == 84
-        assert conv.computed_frames == 83 and conv.override_used
-        conv = convert_shift(ShiftSpec(78, FPS), fps30, override=96)
-        assert conv.shift.frames == 96 and conv.computed_frames == 94
+        assert convert_shift(69, FPS, fps30) == 83
+        assert convert_shift(78, FPS, fps30) == 94
+        # a cross-corpus override shifts the 30 fps test partition and is
+        # recorded next to the computed shift
+        for name, fps, frames in (("a25", 25.0, 100), ("b30", 30.0, 120)):
+            generate_synthetic_corpus(
+                SyntheticCorpusSpec(name=name, seed=4, fps=fps, frames=frames,
+                                    train_recordings=1, validation_recordings=1,
+                                    test_recordings=1),
+                tmp_path / name,
+            )
+        for dimension, chosen, override, computed in (
+            ("arousal", 69, 84, 83),
+            ("valence", 78, 96, 94),
+        ):
+            conv, applied = cross_shift_conversion(
+                monkeypatch, tmp_path / "a25" / "manifest.json",
+                tmp_path / "b30" / "manifest.json", dimension, chosen, override,
+            )
+            assert conv["test_shift_frames"] == conv["override_frames"] == override
+            assert conv["computed_frames"] == computed
+            assert applied == [(25.0, chosen), (30.0, override)]
 
 
 def test_criterion_5_lag_recovery(tmp_path):

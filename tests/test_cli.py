@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,75 @@ class TestExperimentsCommands:
                         "--modality", "speech"])
         assert code == 2
         assert "mixes frame rates 25 and 30 fps" in capsys.readouterr().err
+
+
+    def test_huge_sweep_range_exit_2(self, corpus_dir, tmp_path, capsys):
+        # the grid is checked against the 150-frame traces before it is built
+        config = write_config(
+            tmp_path / "c.json", corpus_dir,
+            shift={"anchor_frames": {"arousal": 5}, "range_seconds": 1e300},
+        )
+        start = time.monotonic()
+        code = run_cli(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                        "--modality", "speech"])
+        assert time.monotonic() - start < 5
+        assert code == 2
+        assert capsys.readouterr().err == "data error: shift of 152 frames >= trace length 150\n"
+
+    def test_cross_eval_shift_too_large_for_a_float_exit_2(self, corpus_dir, tmp_path, capsys):
+        # train exits 2 on the same config; cross-eval must not convert the shift first
+        config = write_config(
+            tmp_path / "c.json", corpus_dir,
+            test_manifest=str(corpus_dir / "manifest.json"),
+            shift={"chosen_frames": {"arousal": 10**400}},
+        )
+        for command in ("train", "cross-eval"):
+            code = run_cli([command, "--config", str(config), "--out-dir", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"data error: shift of {10**400} frames >= trace length 150\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(recordings=5), "'recordings' list"),
+            (lambda doc: doc["recordings"][0].update(fps="abc"), "recording #0: field 'fps'"),
+            (lambda doc: doc["recordings"][0].update(fps=None), "recording #0: field 'fps'"),
+            (lambda doc: doc["recordings"][0].update(fps=True), "recording #0: field 'fps'"),
+            (lambda doc: doc["recordings"][1].update(fps=10**400), "recording #1: field 'fps'"),
+            (lambda doc: doc["recordings"][0].update(annotations=["x"]),
+             "recording #0: field 'annotations'"),
+            (lambda doc: doc["recordings"][0].update(annotations={"arousal": 5}),
+             "recording #0: field 'annotations'"),
+            (lambda doc: doc["recordings"][0].update(id=[1]), "recording #0: field 'id'"),
+            (lambda doc: doc["recordings"][2].update(speech=5), "recording #2: field 'speech'"),
+            (lambda doc: doc["recordings"][0].update(gaze=None), "recording #0: field 'gaze'"),
+            (lambda doc: doc["recordings"][0].update(gaze="a\0b.csv"), "recording #0: field 'gaze'"),
+            (lambda doc: doc["recordings"][3]["annotations"].update(arousal="a\0b.csv"),
+             "recording #3: field 'annotations'"),
+            (lambda doc: doc["recordings"].__setitem__(
+                0, "id partition fps speech gaze annotations"), "recording #0 must be an object"),
+        ],
+        ids=["recordings", "fps-str", "fps-null", "fps-bool", "fps-huge", "annotations-list",
+             "annotation-path", "id", "speech", "gaze", "gaze-nul", "annotation-nul",
+             "recording-str"],
+    )
+    def test_malformed_manifest_exit_2(self, corpus_dir, tmp_path, capsys, edit, message):
+        doc = json.loads((corpus_dir / "manifest.json").read_text())
+        for rec in doc["recordings"]:  # absolute paths, so the manifest can move
+            for key in ("speech", "gaze"):
+                rec[key] = str(corpus_dir / rec[key])
+            rec["annotations"] = {d: str(corpus_dir / p) for d, p in rec["annotations"].items()}
+        edit(doc)
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        config = write_config(
+            tmp_path / "c.json", corpus_dir, train_manifest=str(tmp_path / "manifest.json")
+        )
+        code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert message in err
 
 
 class TestReport:

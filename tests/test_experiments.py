@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazeaffect import experiments
 from gazeaffect.errors import ConfigError, DataError
@@ -25,6 +28,8 @@ from gazeaffect.experiments import (
     sweep_shifts,
 )
 from gazeaffect.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
+
+from conftest import cross_shift_conversion
 
 SMALL_NETWORKS = (NetworkChoice("lstm", (8, 6)), NetworkChoice("blstm", (8, 6)))
 
@@ -192,7 +197,7 @@ class TestSweepGrid:
             corpus_dir,
             shift=ShiftSettings(range_seconds=1.0, stride_frames=3),
         )
-        shifts = sweep_shifts(config, 25.0)
+        shifts = sweep_shifts(config, 25.0, 200)
         # the grid reaches within one stride of both edges of the 59 +/- 25 band
         assert 59 - 25 <= min(shifts) < 59 - 25 + 3
         assert 59 + 25 - 3 < max(shifts) <= 59 + 25
@@ -208,7 +213,7 @@ class TestSweepGrid:
                 stride_frames=5,
             ),
         )
-        shifts = sweep_shifts(config, 25.0)
+        shifts = sweep_shifts(config, 25.0, 200)
         assert shifts[0] == 0
         assert all(s >= 0 for s in shifts)
 
@@ -221,7 +226,7 @@ class TestSweepGrid:
                 stride_frames=6,
             ),
         )
-        assert sweep_shifts(config, 25.0) == [50]
+        assert sweep_shifts(config, 25.0, 200) == [50]
 
     def test_anchor_always_in_grid(self, corpus_dir):
         for stride in (1, 2, 3, 7, 100):
@@ -229,7 +234,42 @@ class TestSweepGrid:
                 corpus_dir,
                 shift=ShiftSettings(range_seconds=1.0, stride_frames=stride),
             )
-            assert 59 in sweep_shifts(config, 25.0)
+            assert 59 in sweep_shifts(config, 25.0, 200)
+
+    def test_default_grid(self, corpus_dir):
+        config = small_config(corpus_dir, shift=ShiftSettings())
+        assert sweep_shifts(config, 25.0, 7500) == list(range(35, 84, 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-40, 120), st.integers(1, 12), st.floats(0, 3), st.sampled_from([25.0, 30.0]),
+        st.integers(1, 200),
+    )
+    def test_matches_enumerated_grid(self, anchor, stride, range_seconds, fps, trace_frames):
+        config = ExperimentConfig(
+            train_manifest=Path("manifest.json"),
+            shift=ShiftSettings(anchor_frames={"arousal": anchor}, range_seconds=range_seconds,
+                                stride_frames=stride),
+        )
+        steps = int(round(range_seconds * fps)) // stride
+        grid = sorted({max(0, anchor + k * stride) for k in range(-steps, steps + 1)})
+        if grid[-1] < trace_frames:
+            assert sweep_shifts(config, fps, trace_frames) == grid
+        else:
+            first = min(s for s in grid if s >= trace_frames)
+            with pytest.raises(DataError) as excinfo:
+                sweep_shifts(config, fps, trace_frames)
+            assert str(excinfo.value) == f"shift of {first} frames >= trace length {trace_frames}"
+
+    @pytest.mark.parametrize("range_seconds", [1e5, 1e300, 1.7e308])
+    def test_huge_range_rejected_before_the_grid_is_built(self, corpus_dir, range_seconds):
+        # 1.7e308 s is finite, but not in frames: range_seconds * fps overflows to inf
+        config = small_config(
+            corpus_dir,
+            shift=ShiftSettings(anchor_frames={"arousal": 5}, range_seconds=range_seconds),
+        )
+        with pytest.raises(DataError, match=r"^shift of 62 frames >= trace length 60$"):
+            sweep_shifts(config, 25.0, 60)
 
 
 class TestRelativeImprovement:
@@ -247,7 +287,7 @@ class TestShiftSweep:
     def test_sweep_runs_and_picks_best(self, corpus_dir):
         config = small_config(corpus_dir, modalities=("speech",))
         table, best = run_shift_sweep(config, modality="speech")
-        shifts = sweep_shifts(config, 25.0)
+        shifts = sweep_shifts(config, 25.0, 200)
         assert len(table.rows) == len(shifts) * len(SMALL_NETWORKS)
         assert set(best) == {"lstm", "blstm"}
         for kind, shift in best.items():
@@ -359,6 +399,34 @@ class TestCrossCorpus:
             ("synth", "other2"),
             ("other2", "synth"),
         }
+
+    @pytest.mark.parametrize("override", [None, 13])
+    def test_shift_conversion_metadata(self, corpus_dir, corpus_30fps, monkeypatch, override):
+        # 7 frames at 25 fps are 8.4 at 30 fps; an override replaces the 8 on the test side
+        conv, applied = cross_shift_conversion(
+            monkeypatch, corpus_dir / "manifest.json", corpus_30fps / "manifest.json",
+            "arousal", 7, override,
+        )
+        test_shift = 8 if override is None else override
+        assert conv == {
+            "train_shift_frames": 7,
+            "test_shift_frames": test_shift,
+            "computed_frames": 8,
+            "override_frames": override,
+        }
+        # the 25 fps train and validation traces move by 7, the 30 fps test traces by test_shift
+        assert applied == [(25.0, 7), (30.0, test_shift)]
+
+    def test_shift_too_large_for_a_float(self, corpus_dir, corpus_30fps):
+        # rejected against the training traces before it is converted to 30 fps
+        config = small_config(
+            corpus_dir,
+            test_manifest=corpus_30fps / "manifest.json",
+            modalities=("speech",),
+            shift=ShiftSettings(chosen_frames={"arousal": 10**400}),
+        )
+        with pytest.raises(DataError, match=r"^shift of 10{400} frames >= trace length 200$"):
+            run_cross_corpus(config)
 
     def test_feature_name_mismatch(self, corpus_dir, tmp_path):
         other = tmp_path / "narrow"

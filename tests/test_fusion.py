@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from gazeaffect.errors import DataError
 from gazeaffect.fusion import (
-    ShiftSpec,
     convert_shift,
     denormalize_target,
     fit_norm_stats,
@@ -32,21 +31,25 @@ def matrix(values, names=None, fps=FPS25):
 
 class TestShiftAnnotations:
     def test_shift_by_two(self):
-        out = shift_annotations(trace([0.1, 0.2, 0.3, 0.4, 0.5]), ShiftSpec(2, FPS25))
+        out = shift_annotations(trace([0.1, 0.2, 0.3, 0.4, 0.5]), 2)
         assert out.values == pytest.approx([0.3, 0.4, 0.5, 0.0, 0.0])
 
     def test_zero_shift_identity(self):
         t = trace([0.4, -0.2, 0.6])
-        out = shift_annotations(t, ShiftSpec(0, FPS25))
+        out = shift_annotations(t, 0)
         assert np.array_equal(out.values, t.values)
 
     def test_max_shift(self):
-        out = shift_annotations(trace([0.4, -0.2, 0.6]), ShiftSpec(2, FPS25))
+        out = shift_annotations(trace([0.4, -0.2, 0.6]), 2)
         assert out.values == pytest.approx([0.6, 0.0, 0.0])
 
     def test_shift_too_large(self):
-        with pytest.raises(DataError):
-            shift_annotations(trace([0.1, 0.2]), ShiftSpec(2, FPS25))
+        with pytest.raises(DataError, match="shift of 2 frames >= trace length 2"):
+            shift_annotations(trace([0.1, 0.2]), 2)
+
+    def test_negative_shift(self):
+        with pytest.raises(DataError, match="shift frames must be non-negative"):
+            shift_annotations(trace([0.1, 0.2]), -1)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -59,34 +62,22 @@ class TestShiftAnnotations:
         if j + k >= n:
             return
         t = trace(values)
-        lhs = shift_annotations(shift_annotations(t, ShiftSpec(j, FPS25)), ShiftSpec(k, FPS25))
-        rhs = shift_annotations(t, ShiftSpec(j + k, FPS25))
+        lhs = shift_annotations(shift_annotations(t, j), k)
+        rhs = shift_annotations(t, j + k)
         assert len(lhs) == n
         assert lhs.values == pytest.approx(rhs.values)
 
 
 class TestConvertShift:
     def test_arousal_paper_conversion(self):
-        conv = convert_shift(ShiftSpec(69, FPS25), FPS30)
-        assert conv.shift.frames == 83  # 82.8 rounded
-        assert not conv.override_used
+        assert convert_shift(69, FPS25, FPS30) == 83  # 82.8 rounded
 
     def test_valence_paper_conversion(self):
-        conv = convert_shift(ShiftSpec(78, FPS25), FPS30)
-        assert conv.shift.frames == 94  # 93.6 rounded
-
-    def test_overrides_honored_and_recorded(self):
-        conv = convert_shift(ShiftSpec(69, FPS25), FPS30, override=84)
-        assert conv.shift.frames == 84
-        assert conv.computed_frames == 83
-        assert conv.override_used
-        conv = convert_shift(ShiftSpec(78, FPS25), FPS30, override=96)
-        assert conv.shift.frames == 96
-        assert conv.computed_frames == 94
+        assert convert_shift(78, FPS25, FPS30) == 94  # 93.6 rounded
 
     def test_identity_fps(self):
-        conv = convert_shift(ShiftSpec(42, FPS25), FPS25)
-        assert conv.shift.frames == 42
+        frames = convert_shift(42, FPS25, FPS25)
+        assert frames == 42 and type(frames) is int
 
 
 class TestFuseFeatures:
