@@ -169,6 +169,7 @@ class ExperimentConfig:
         def resolve(p):
             return (base / p).resolve()
 
+        fields["out_dir"] = resolve(".")  # the default, unless the config names one
         get("shift.anchor_frames", _each(_int, DEFAULT_ANCHOR_FRAMES), shift, DIMENSIONS)
         get("shift.chosen_frames", _each(_shift, DEFAULT_CHOSEN_FRAMES), shift, DIMENSIONS)
         get("shift.range_seconds", float, shift)
@@ -191,7 +192,7 @@ class ExperimentConfig:
         get("training.patience_epochs", _int)
         get("training.noise_sigma", float)
         get("gaze_columns", lambda c: c if c is None else dict(c))
-        get("out_dir", Path)
+        get("out_dir", resolve)
         get("jobs", _int)
         get("cross_both_directions", _bool)
         unknown = _unknown_keys(doc, read)
@@ -199,9 +200,7 @@ class ExperimentConfig:
             raise ConfigError("unknown config field(s) " + ", ".join(map(repr, unknown)))
         if "train_manifest" not in fields:
             raise ConfigError("config missing required field 'train_manifest'")
-        config = cls(shift=ShiftSettings(**shift), **fields)
-        config.out_dir = resolve(config.out_dir)
-        return config
+        return cls(shift=ShiftSettings(**shift), **fields)
 
 
 _ABSENT = object()
@@ -430,13 +429,24 @@ def _score_ccc(model: TrainedModel, pairs, stats) -> float:
 
 def _execute(tasks: list[RunTask], jobs: int) -> tuple[ResultsTable, list]:
     """Run the tasks in order; returns their rows and their models (None for
-    a diverged run)."""
+    a diverged run). A pool worker gets the task list once, as it starts."""
     if jobs <= 1:
         results = [run_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_task, tasks))
+        with ProcessPoolExecutor(jobs, initializer=_set_worker_tasks, initargs=(tasks,)) as pool:
+            results = list(pool.map(_run_worker_task, range(len(tasks))))
     return ResultsTable(rows=[row for row, _ in results]), [m for _, m in results]
+
+
+_worker_tasks: list[RunTask] = []  # a pool worker's task list
+
+
+def _set_worker_tasks(tasks: list[RunTask]) -> None:
+    _worker_tasks[:] = tasks
+
+
+def _run_worker_task(index: int) -> tuple[ResultRow, TrainedModel | None]:
+    return run_task(_worker_tasks[index])
 
 
 # ---------------------------------------------------------------------------

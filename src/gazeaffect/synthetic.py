@@ -47,16 +47,19 @@ class SyntheticCorpusSpec:
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
-    """Each series (last axis) of x, in place, to zero mean and unit population std."""
-    std = x.std(-1, keepdims=True)
-    x -= x.mean(-1, keepdims=True)
-    return np.divide(x, np.where(std > 1e-12, std, 1.0), out=x)
+    """Each series (last axis) of the C-contiguous x, in place and one at a
+    time (no full-size centred copy), to zero mean and unit population std."""
+    for series in x.reshape(-1, x.shape[-1]):
+        std = series.std()
+        series -= series.mean()
+        series /= std if std > 1e-12 else 1.0
+    return x
 
 
-def _ar1(rng: np.random.Generator, shape: int | tuple[int, int], coeff: float) -> np.ndarray:
-    """Standardized AR(1) series along the last axis of `shape`, stepped
+def _ar1(rng: np.random.Generator, x: np.ndarray, coeff: float) -> np.ndarray:
+    """Fill x with standardized AR(1) series along its last axis, stepped
     together in place over one normal draw, which fills them row by row."""
-    x = rng.normal(size=shape)
+    rng.standard_normal(out=x)
     steps = x.T  # time-major view
     for t in range(1, len(steps)):
         steps[t] += coeff * steps[t - 1]
@@ -90,26 +93,26 @@ def _generate_recording(spec: SyntheticCorpusSpec, out_dir: Path, rec_id: str, r
     rng = np.random.default_rng([spec.seed, rec_seed])
     n = spec.frames
     fps = FrameRate(spec.fps)
-    speech_latent = _ar1(rng, n, 0.9)
+    speech_latent = _ar1(rng, np.empty(n), 0.9)
     gaze_latent = _slow_wave(rng, n)
 
-    # Speech features: the latent plus distractor channels.
-    signal = speech_latent + 0.05 * rng.normal(size=n)
-    aux = _ar1(rng, (spec.speech_dim - 1, n), 0.8)  # (channel, frame)
-    speech = np.column_stack([signal, np.add(aux, 0.3 * speech_latent, out=aux).T])
+    # Speech features: the latent plus distractor channels, (channel, frame).
+    speech = np.empty((spec.speech_dim, n))
+    np.add(speech_latent, 0.05 * rng.normal(size=n), out=speech[0])
+    np.add(_ar1(rng, speech[1:], 0.8), 0.3 * speech_latent, out=speech[1:])
     speech_names = (SPEECH_SIGNAL_COLUMN,) + tuple(
         f"speech_aux{j}" for j in range(1, spec.speech_dim)
     )
 
     # Gaze log: horizontal coordinate tracks the slow latent.
     h = np.clip(0.5 * gaze_latent + 0.02 * rng.normal(size=n), -1.0, 1.0)
-    v = np.clip(0.3 * _ar1(rng, n, 0.95), -1.0, 1.0)
+    v = np.clip(0.3 * _ar1(rng, np.empty(n), 0.95), -1.0, 1.0)
     closed = _closure_flags(rng, n)
     valid = (rng.random(n) >= 0.02).astype(int)
 
     speech_path = out_dir / f"{rec_id}_speech.csv"
     gaze_path = out_dir / f"{rec_id}_gaze.csv"
-    save_feature_csv(FeatureMatrix(speech_names, speech, fps), speech_path)
+    save_feature_csv(FeatureMatrix(speech_names, speech.T, fps), speech_path)
     columns = (h.tolist(), v.tolist(), closed.tolist(), valid.tolist())
     save_numeric_csv(gaze_path, ["frame", "h", "v", "eye_closed", "valid"], zip(range(n), *columns))
 

@@ -1,6 +1,10 @@
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +152,7 @@ class TestConfig:
             ({"shift": {"anchor_frames": {"Arousal": 3}}}, "shift.anchor_frames.Arousal"),
             ({"shift": {"cross_overrides": {"valance": None}}}, "shift.cross_overrides.valance"),
             ({"window_seconds": {"arousal": 4.0, "dominance": 2.0}}, "window_seconds.dominance"),
+            ({"out_dir": "o\u0000"}, "out_dir"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):
@@ -459,13 +464,57 @@ def corpus_30fps(tmp_path_factory):
 
 
 class TestGridExecution:
-    def test_jobs_2_matches_jobs_1_intra(self, corpus_dir):
+    @pytest.mark.parametrize("run", [run_intra_corpus, run_shift_sweep], ids=lambda f: f.__name__)
+    def test_jobs_2_matches_jobs_1(self, corpus_dir, run):
+        # the intra-corpus improvements or the sweep's best shifts
         config = small_config(corpus_dir, seeds=(7, 8))
+        serial, serial_summary = run(config)
+        config.jobs = 2
+        pooled, pooled_summary = run(config)
+        assert pooled.rows == serial.rows
+        assert pooled_summary == serial_summary
+
+    def test_spawned_workers_match_jobs_1(self, corpus_dir, monkeypatch):
+        # Workers that start from a fresh interpreter receive the task list
+        # pickled, as under spawn or forkserver, instead of inherited by fork.
+        spawn = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", spawn)
+        config = small_config(
+            corpus_dir, modalities=("speech",), networks=(NetworkChoice("lstm", (4,)),),
+            seeds=(7, 8),
+        )
         serial, serial_imp = run_intra_corpus(config)
         config.jobs = 2
         pooled, pooled_imp = run_intra_corpus(config)
         assert pooled.rows == serial.rows
         assert pooled_imp == serial_imp
+
+    def test_bytes_sent_per_task_do_not_grow_with_recording_length(
+        self, tmp_path, monkeypatch
+    ):
+        sent = []
+
+        class MeasuredPool(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                sent.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", MeasuredPool)
+        per_length = []
+        for frames in (100, 800):
+            root = tmp_path / str(frames)
+            generate_synthetic_corpus(SyntheticCorpusSpec(seed=3, frames=frames), root)
+            config = small_config(
+                root, modalities=("speech",), networks=(NetworkChoice("lstm", (4,)),),
+                seeds=(7, 8), max_epochs=2, patience_epochs=1, jobs=2,
+            )
+            sent.clear()
+            table, _ = run_intra_corpus(config)
+            assert len(sent) == len(table.rows) == 2
+            per_length.append(list(sent))
+        assert per_length[0] == per_length[1]
 
     def test_jobs_2_matches_jobs_1_cross(self, corpus_dir, corpus_30fps):
         config = small_config(
