@@ -11,13 +11,7 @@ from .fusion import (
     normalize_target,
     shift_annotations,
 )
-from .gaze_features import (
-    GAZE_FEATURE_NAMES,
-    FixationParams,
-    WindowSpec,
-    ZoneGrid,
-    extract_gaze_features,
-)
+from .gaze_features import GAZE_FEATURE_NAMES, WindowSpec, extract_gaze_features
 from .metrics import ccc, ccc_flagged, pearson, pearson_flagged, sse
 from .network import (
     GradientCheckReport,

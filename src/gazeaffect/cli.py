@@ -85,9 +85,7 @@ def fuse_cmd(speech, gaze, fps, out_path):
     """Concatenate speech and gaze feature CSVs frame by frame."""
     with _flag_values():
         rate = FrameRate(fps)
-    fused = fuse_features(
-        load_feature_csv(speech, rate), load_feature_csv(gaze, rate), "speech", "gaze"
-    )
+    fused = fuse_features(load_feature_csv(speech, rate), load_feature_csv(gaze, rate))
     save_feature_csv(fused, out_path)
     click.echo(f"wrote {fused.n_frames}x{fused.n_features} fused features to {out_path}")
 

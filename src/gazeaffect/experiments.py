@@ -123,6 +123,8 @@ class ExperimentConfig:
                               f"got {self.shift.stride_frames}")
         if not (self.networks and self.learning_rates and self.seeds):
             raise ConfigError("network/learning-rate/seed grids must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"config field 'training.seeds' needs seeds >= 0, got {self.seeds}")
         try:  # the network and training rules, checked before any data is read
             for net in self.networks:
                 net.build_spec(1)
@@ -191,7 +193,7 @@ class ExperimentConfig:
         get("training.max_epochs", _int)
         get("training.patience_epochs", _int)
         get("training.noise_sigma", float)
-        get("gaze_columns", lambda c: c if c is None else dict(c))
+        get("gaze_columns", lambda c: c if c is None else _each(_str)(c))
         get("out_dir", resolve)
         get("jobs", _int)
         get("cross_both_directions", _bool)
@@ -249,6 +251,13 @@ def _shift(value) -> int:
     """A non-negative JSON integer number of frames."""
     if _int(value) < 0:
         raise ValueError(f"shift frames must be non-negative, got {value}")
+    return value
+
+
+def _str(value) -> str:
+    """A JSON string; numbers, lists and null raise TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
     return value
 
 
@@ -360,9 +369,7 @@ def load_corpus_data(
                 )
             features["gaze"] = extract_gaze_features(log, WindowSpec(window_seconds))
         if "fused" in modalities:
-            features["fused"] = fuse_features(
-                features["speech"], features["gaze"], "speech", "gaze"
-            )
+            features["fused"] = fuse_features(features["speech"], features["gaze"])
         out.append(RecordingData(entry.id, entry.partition, features, annotation))
     return out
 
@@ -427,26 +434,31 @@ def _score_ccc(model: TrainedModel, pairs, stats) -> float:
     return ccc(np.concatenate(preds), np.concatenate([t.values for _, t in pairs]))
 
 
-def _execute(tasks: list[RunTask], jobs: int) -> tuple[ResultsTable, list]:
-    """Run the tasks in order; returns their rows and their models (None for
-    a diverged run). A pool worker gets the task list once, as it starts."""
+def _task_row(task: RunTask) -> ResultRow:
+    """run_task for a driver that keeps only the row: a pool worker sends
+    back no model."""
+    return run_task(task)[0]
+
+
+def _execute(run, tasks: list[RunTask], jobs: int) -> list:
+    """run (a module-level function) of each task, in order. A pool worker
+    gets run and the task list once, as it starts."""
     if jobs <= 1:
-        results = [run_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(jobs, initializer=_set_worker_tasks, initargs=(tasks,)) as pool:
-            results = list(pool.map(_run_worker_task, range(len(tasks))))
-    return ResultsTable(rows=[row for row, _ in results]), [m for _, m in results]
+        return [run(t) for t in tasks]
+    with ProcessPoolExecutor(jobs, initializer=_set_worker, initargs=(run, tasks)) as pool:
+        return list(pool.map(_run_worker_task, range(len(tasks))))
 
 
-_worker_tasks: list[RunTask] = []  # a pool worker's task list
+_worker: list = []  # a pool worker's [run, task list]
 
 
-def _set_worker_tasks(tasks: list[RunTask]) -> None:
-    _worker_tasks[:] = tasks
+def _set_worker(run, tasks: list[RunTask]) -> None:
+    _worker[:] = run, tasks
 
 
-def _run_worker_task(index: int) -> tuple[ResultRow, TrainedModel | None]:
-    return run_task(_worker_tasks[index])
+def _run_worker_task(index: int):
+    run, tasks = _worker
+    return run(tasks[index])
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +548,7 @@ def run_shift_sweep(
     fps = _partition(corpus[1], "train")[0].annotation.fps.fps
     shifts = sweep_shifts(config, fps, _shortest_trace(corpus[1]))
     tasks = _grid(config, (modality,), shifts, corpus, None)
-    table, _ = _execute(tasks, config.jobs)
+    table = ResultsTable(rows=_execute(_task_row, tasks, config.jobs))
     best: dict[str, int] = {}
     for net in config.networks:
         candidates = [r for r in table.rows if r.network == net.kind and r.status == "ok"]
@@ -555,7 +567,7 @@ def run_intra_corpus(
     test_recs = [r for r in recs if r.partition == "test"]
     test = (name, test_recs, shift) if test_recs else None
     tasks = _grid(config, config.modalities, [shift], corpus, test)
-    table, _ = _execute(tasks, config.jobs)
+    table = ResultsTable(rows=_execute(_task_row, tasks, config.jobs))
     improvements = {}
     for net in config.networks:
         selected = {}
@@ -614,8 +626,8 @@ def run_cross_corpus(config: ExperimentConfig) -> tuple[ResultsTable, list[Train
         grid = _grid(config, config.modalities, [shift], corpus, (test_name, test, test_shift))
         tasks += grid
         conversions += [(test_shift, computed)] * len(grid)
-    table, models = _execute(tasks, config.jobs)
-    for model, (test_shift, computed) in zip(models, conversions):
+    results = _execute(run_task, tasks, config.jobs)
+    for (_, model), (test_shift, computed) in zip(results, conversions):
         if model is not None:
             model.metadata["shift_conversion"] = {
                 "train_shift_frames": shift,
@@ -623,7 +635,7 @@ def run_cross_corpus(config: ExperimentConfig) -> tuple[ResultsTable, list[Train
                 "computed_frames": computed,
                 "override_frames": override,
             }
-    return table, [m for m in models if m is not None]
+    return ResultsTable(rows=[row for row, _ in results]), [m for _, m in results if m is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -30,30 +30,21 @@ def convert_shift(frames: int, source_fps: FrameRate, target_fps: FrameRate) -> 
     return int(round(frames / source_fps.fps * target_fps.fps))
 
 
-def fuse_features(
-    a: FeatureMatrix,
-    b: FeatureMatrix,
-    a_tag: str = "a",
-    b_tag: str = "b",
-) -> FeatureMatrix:
-    """Per-frame concatenation of two modalities' feature matrices.
+def fuse_features(speech: FeatureMatrix, gaze: FeatureMatrix) -> FeatureMatrix:
+    """Per-frame concatenation of the speech and gaze feature matrices.
 
-    Name collisions are disambiguated by suffixing each colliding name with
-    its modality tag.
+    A name both hold is suffixed with "_speech" or "_gaze".
     """
-    if a.n_frames != b.n_frames:
-        raise DataError(
-            f"frame count mismatch {a.n_frames} vs {b.n_frames}"
-        )
-    if a.fps != b.fps:
-        raise DataError(f"fps mismatch {a.fps.fps} vs {b.fps.fps}")
-    collisions = set(a.names) & set(b.names)
-    names_a = [f"{n}_{a_tag}" if n in collisions else n for n in a.names]
-    names_b = [f"{n}_{b_tag}" if n in collisions else n for n in b.names]
+    if speech.n_frames != gaze.n_frames:
+        raise DataError(f"frame count mismatch {speech.n_frames} vs {gaze.n_frames}")
+    if speech.fps != gaze.fps:
+        raise DataError(f"fps mismatch {speech.fps.fps} vs {gaze.fps.fps}")
+    collisions = set(speech.names) & set(gaze.names)
     return FeatureMatrix(
-        names=tuple(names_a) + tuple(names_b),
-        values=np.concatenate([a.values, b.values], axis=1),
-        fps=a.fps,
+        names=tuple(f"{n}_{tag}" if n in collisions else n
+                    for tag, m in (("speech", speech), ("gaze", gaze)) for n in m.names),
+        values=np.concatenate([speech.values, gaze.values], axis=1),
+        fps=speech.fps,
     )
 
 

@@ -48,6 +48,12 @@ _BANDS = np.array([[k in g for g in PSD_BIN_GROUPS] for k in range(1, 13)], dtyp
 # (windows of any lengths, padded to the block's longest), so memory does not
 # grow with the recording's length.
 _BLOCK_SAMPLES = 1 << 15
+# I-DT fixations: bounding-box diagonal within the threshold (coordinate
+# units) for at least the minimum duration.
+DISPERSION_THRESHOLD = 0.05
+MIN_FIXATION_SECONDS = 0.1
+# Fixation zones: a ZONE_GRID x ZONE_GRID grid of equal cells on [-1, 1]^2.
+ZONE_GRID = 3
 
 
 @dataclass(frozen=True)
@@ -69,38 +75,12 @@ class Fixation:
     centroid_v: float
 
 
-@dataclass(frozen=True)
-class ZoneGrid:
-    """Grid of fixation zones over a coordinate rectangle (default 3x3 on [-1,1]^2)."""
-
-    rows: int = 3
-    cols: int = 3
-    h_min: float = -1.0
-    h_max: float = 1.0
-    v_min: float = -1.0
-    v_max: float = 1.0
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DataError("zone grid must have at least one row and column")
-        if not (self.h_max > self.h_min and self.v_max > self.v_min):
-            raise DataError("zone grid bounds are degenerate")
-
-    def cells(self, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Cell index row * cols + col of each sample; the position on each
-        axis is truncated toward zero, then clamped into the grid."""
-        col = np.trunc((h - self.h_min) / (self.h_max - self.h_min) * self.cols)
-        row = np.trunc((v - self.v_min) / (self.v_max - self.v_min) * self.rows)
-        col = np.clip(col, 0, self.cols - 1).astype(np.intp)
-        return np.clip(row, 0, self.rows - 1).astype(np.intp) * self.cols + col
-
-
-@dataclass(frozen=True)
-class FixationParams:
-    """I-DT segmentation parameters (dispersion units, duration in seconds)."""
-
-    dispersion_threshold: float = 0.05
-    min_duration_seconds: float = 0.1
+def _zone_cells(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Zone-grid cell index row * ZONE_GRID + col of each sample; the position
+    on each axis is truncated toward zero, then clamped into the grid."""
+    col, row = (np.clip(np.trunc((x - -1.0) / 2.0 * ZONE_GRID), 0, ZONE_GRID - 1).astype(np.intp)
+                for x in (h, v))
+    return row * ZONE_GRID + col
 
 
 def _whole(n: int) -> tuple[np.ndarray, np.ndarray]:  # the single range [0, n)
@@ -290,7 +270,7 @@ def _blocks(n: np.ndarray, budget: int):
         s = e
 
 
-def _features(h, v, closed, valid, lo, hi, limit, fps, fixation: FixationParams, grid: ZoneGrid):
+def _features(h, v, closed, valid, lo, hi, limit, fps):
     """All 31 features of every window [lo, hi) (at most `limit` frames) of
     a raw log, computed over its valid frames."""
     mask = np.asarray(valid, dtype=bool)
@@ -300,8 +280,8 @@ def _features(h, v, closed, valid, lo, hi, limit, fps, fixation: FixationParams,
     hv = np.stack([h, v])
     out = np.zeros((len(a), len(GAZE_FEATURE_NAMES)))
     out[:, :2] = _approach(np.hypot(h, v), a, b, fps.frame_ms)
-    ext = _extents(h, v, fixation.dispersion_threshold, limit)
-    r, start, end = _fixations(ext, a, b, frames_for_duration(fixation.min_duration_seconds, fps))
+    ext = _extents(h, v, DISPERSION_THRESHOLD, limit)
+    r, start, end = _fixations(ext, a, b, frames_for_duration(MIN_FIXATION_SECONDS, fps))
     out[:, 2:4] = _path_stats(r, _run_means(h, start, end), _run_means(v, start, end), len(a))
     order = np.argsort(b - a, kind="stable")
     order = order[b[order] > a[order]]  # non-empty windows, shortest first
@@ -309,7 +289,7 @@ def _features(h, v, closed, valid, lo, hi, limit, fps, fixation: FixationParams,
     for s, e in _blocks(lengths, _BLOCK_SAMPLES):
         rows, n = order[s:e], lengths[s:e]
         x = np.take(hv, a[rows, None] + np.arange(n[-1]), 1, mode="clip")  # (axis, window, frame)
-        zones = _zone_spread(x, n, grid.cells(*x), grid.rows * grid.cols)
+        zones = _zone_spread(x, n, _zone_cells(*x), ZONE_GRID**2)
         stats = np.concatenate([_functionals(x, n), _band_powers(x, n), zones], -1)
         out[rows, 4:28] = np.concatenate(stats, -1)  # h's 12 features, then v's
     out[:, 28:31] = _closure(closed, a, b)
@@ -368,17 +348,17 @@ def psd_band_powers(series: np.ndarray) -> np.ndarray:
 
 
 def fixation_zone_spread(
-    h: np.ndarray, v: np.ndarray, grid: ZoneGrid
+    h: np.ndarray, v: np.ndarray
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per-axis (mean, population std) of per-zone coordinate stds.
 
-    Each sample is binned into its grid cell; cells with fewer than 2 samples
-    are skipped. Returns ((h_mean, h_std), (v_mean, v_std)), zeros when no
+    Each sample is binned into its zone-grid cell; cells with fewer than 2
+    samples are skipped. Returns ((h_mean, h_std), (v_mean, v_std)), zeros when no
     cell qualifies.
     """
     h, v = np.asarray(h, dtype=float), np.asarray(v, dtype=float)
     x = np.stack([h, v])[:, None]
-    zones = _zone_spread(x, np.array([len(h)]), grid.cells(h, v), grid.rows * grid.cols)[:, 0]
+    zones = _zone_spread(x, np.array([len(h)]), _zone_cells(h, v), ZONE_GRID**2)[:, 0]
     return tuple(tuple(zone) for zone in zones.tolist())
 
 
@@ -388,34 +368,21 @@ def eye_closure_stats(closed: np.ndarray) -> tuple[float, float, float]:
 
 
 def window_features(
-    h: np.ndarray,
-    v: np.ndarray,
-    closed: np.ndarray,
-    valid: np.ndarray,
-    fps: FrameRate,
-    fixation: FixationParams,
-    grid: ZoneGrid,
+    h: np.ndarray, v: np.ndarray, closed: np.ndarray, valid: np.ndarray, fps: FrameRate
 ) -> np.ndarray:
     """Compute all 31 features for one window of raw gaze frames."""
-    return _features(h, v, closed, valid, *_whole(len(h)), len(h), fps, fixation, grid)[0]
+    return _features(h, v, closed, valid, *_whole(len(h)), len(h), fps)[0]
 
 
-def extract_gaze_features(
-    log: GazeLog,
-    window: WindowSpec,
-    fixation: FixationParams | None = None,
-    grid: ZoneGrid | None = None,
-) -> FeatureMatrix:
+def extract_gaze_features(log: GazeLog, window: WindowSpec) -> FeatureMatrix:
     """Windowed gaze features: one 31-dim row per frame (causal trailing window).
 
     Frame t uses the window [max(0, t-W+1), t] where W covers
     `window.size_seconds` at the log's frame rate; early frames use the
     truncated window.
     """
-    fixation = fixation or FixationParams()
-    grid = grid or ZoneGrid()
     w = frames_for_duration(window.size_seconds, log.fps)
     t = np.arange(len(log))
     lo, hi = np.maximum(t - w + 1, 0), t + 1
-    rows = _features(log.h, log.v, log.eye_closed, log.valid, lo, hi, w, log.fps, fixation, grid)
+    rows = _features(log.h, log.v, log.eye_closed, log.valid, lo, hi, w, log.fps)
     return FeatureMatrix(names=GAZE_FEATURE_NAMES, values=rows, fps=log.fps)

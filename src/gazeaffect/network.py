@@ -32,6 +32,8 @@ MODEL_FORMAT_VERSION = 1
 # Parameters per batched forward in gradient_check, two weight sets each.
 # Peak memory grows with it: 64 adds about 3 MB on the 8-6 criterion specs.
 GRADCHECK_BATCH = 64
+# Central-difference step of gradient_check.
+GRADCHECK_STEP = 1e-5
 # Time order in which each direction of a layer reads its input.
 _DIRECTION_TIME = (slice(None), slice(None, None, -1))
 
@@ -489,17 +491,13 @@ class GradientCheckReport:
     worst_index: int
 
 
-def gradient_check(
-    spec: NetworkSpec,
-    seed: int,
-    sequence_length: int = 20,
-    step: float = 1e-5,
-) -> GradientCheckReport:
+def gradient_check(spec: NetworkSpec, seed: int, sequence_length: int = 20) -> GradientCheckReport:
     """Compare BPTT gradients to central finite differences, parameter by parameter.
 
-    The +step and -step copies of theta for GRADCHECK_BATCH parameters at a
-    time run as one batch of weight sets through the ordinary forward pass;
-    no BPTT code is involved, so the check stays independent of it.
+    The +GRADCHECK_STEP and -GRADCHECK_STEP copies of theta for
+    GRADCHECK_BATCH parameters at a time run as one batch of weight sets
+    through the ordinary forward pass; no BPTT code is involved, so the check
+    stays independent of it.
 
     Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-5). The absolute
     floor sits at the noise scale of central differences with this step, so
@@ -521,11 +519,11 @@ def gradient_check(
         index = np.arange(start, min(start + GRADCHECK_BATCH, len(theta)))
         rows = np.arange(len(index))
         batch = np.tile(theta, (2, len(index), 1))  # (+step, -step) x parameter
-        batch[0, rows, index] += step
-        batch[1, rows, index] -= step
+        batch[0, rows, index] += GRADCHECK_STEP
+        batch[1, rows, index] -= GRADCHECK_STEP
         preds = predict(NetworkParams(spec, batch), spec, x)
         loss = np.sum((preds - y) ** 2, axis=-1)
-        gn[index] = (loss[0] - loss[1]) / (2.0 * step)
+        gn[index] = (loss[0] - loss[1]) / (2.0 * GRADCHECK_STEP)
     rel = np.abs(ga - gn) / np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-5)
     worst = int(np.argmax(rel))
     return GradientCheckReport(

@@ -22,12 +22,7 @@ from gazeaffect.experiments import (
     run_shift_sweep,
 )
 from gazeaffect.fusion import convert_shift, shift_annotations
-from gazeaffect.gaze_features import (
-    FixationParams,
-    WindowSpec,
-    ZoneGrid,
-    extract_gaze_features,
-)
+from gazeaffect.gaze_features import WindowSpec, extract_gaze_features
 from gazeaffect.metrics import ccc
 from gazeaffect.network import (
     LayerSpec,
@@ -112,11 +107,9 @@ def test_criterion_3_gaze_feature_oracle():
         rng = np.random.default_rng(3)
         log = random_gaze_log(rng, 600)
         window = WindowSpec(4.0)
-        fixation = FixationParams()
-        grid = ZoneGrid()
-        matrix = extract_gaze_features(log, window, fixation, grid)
+        matrix = extract_gaze_features(log, window)
         w = frames_for_duration(4.0, FPS)
-        min_dur = frames_for_duration(fixation.min_duration_seconds, FPS)
+        min_dur = frames_for_duration(0.1, FPS)
         worst = 0.0
         for t in rng.choice(600, size=50, replace=False):
             lo = max(0, t - w + 1)
@@ -126,10 +119,10 @@ def test_criterion_3_gaze_feature_oracle():
                 log.eye_closed[lo : t + 1],
                 log.valid[lo : t + 1],
                 25.0,
-                fixation.dispersion_threshold,
+                0.05,
                 min_dur,
-                grid.rows,
-                grid.cols,
+                3,
+                3,
                 (-1.0, 1.0, -1.0, 1.0),
             )
             worst = max(worst, np.abs(matrix.values[t] - np.array(expected)).max())

@@ -153,6 +153,9 @@ class TestConfig:
             ({"shift": {"cross_overrides": {"valance": None}}}, "shift.cross_overrides.valance"),
             ({"window_seconds": {"arousal": 4.0, "dominance": 2.0}}, "window_seconds.dominance"),
             ({"out_dir": "o\u0000"}, "out_dir"),
+            ({"training": {"seeds": [-1]}}, "training.seeds"),
+            ({"training": {"seeds": [1, -1]}}, "training.seeds"),
+            ({"gaze_columns": {"h": ["x"]}}, "gaze_columns"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):
@@ -515,6 +518,31 @@ class TestGridExecution:
             assert len(sent) == len(table.rows) == 2
             per_length.append(list(sent))
         assert per_length[0] == per_length[1]
+
+    def test_result_returned_per_sweep_task_does_not_grow_with_network_width(
+        self, corpus_dir, monkeypatch
+    ):
+        # a sweep keeps only rows, so its workers send back no trained model
+        returned = []
+
+        class MeasuredPool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                for result in super().map(fn, *iterables, **kwargs):
+                    returned.append(len(pickle.dumps(result)))
+                    yield result
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", MeasuredPool)
+        per_width = []
+        for width in (4, 64):
+            config = small_config(
+                corpus_dir, networks=(NetworkChoice("lstm", (width,)),),
+                max_epochs=2, patience_epochs=1, jobs=2,
+            )
+            returned.clear()
+            table, _ = run_shift_sweep(config)
+            assert len(returned) == len(table.rows) == 3
+            per_width.append(max(returned))
+        assert per_width[1] <= per_width[0] + 8  # "ok" and "div" rows differ by a byte
 
     def test_jobs_2_matches_jobs_1_cross(self, corpus_dir, corpus_30fps):
         config = small_config(

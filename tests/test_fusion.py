@@ -112,7 +112,7 @@ class TestFuseFeatures:
     def test_name_collision_suffixed(self):
         a = matrix(np.zeros((5, 1)), ["mean"])
         b = matrix(np.ones((5, 1)), ["mean"])
-        fused = fuse_features(a, b, "speech", "gaze")
+        fused = fuse_features(a, b)
         assert fused.names == ("mean_speech", "mean_gaze")
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,7 @@ from hypothesis import strategies as st
 import gazeaffect.gaze_features as gf
 from gazeaffect.gaze_features import (
     GAZE_FEATURE_NAMES,
-    FixationParams,
     WindowSpec,
-    ZoneGrid,
     approach_stats,
     coordinate_functionals,
     extract_gaze_features,
@@ -152,21 +152,21 @@ class TestZoneSpread:
     def test_single_constant_cell(self):
         h = np.full(5, 0.1)
         v = np.full(5, 0.1)
-        assert fixation_zone_spread(h, v, ZoneGrid()) == ((0.0, 0.0), (0.0, 0.0))
+        assert fixation_zone_spread(h, v) == ((0.0, 0.0), (0.0, 0.0))
 
     def test_two_cells_known_stds(self):
         # Cell A: h in {0.0 +/- 0.1} -> std 0.1; cell B: {0.5 +/- 0.3}... place
         # clusters in distinct cells of the default 3x3 grid on [-1,1]^2.
         h = np.array([-0.6, -0.8, 0.5, 0.5 + 0.6])
         v = np.array([-0.5, -0.5, 0.5, 0.5])
-        (h_mean, h_std), _ = fixation_zone_spread(h, v, ZoneGrid())
+        (h_mean, h_std), _ = fixation_zone_spread(h, v)
         assert h_mean == pytest.approx((0.1 + 0.3) / 2)
         assert h_std == pytest.approx(0.1)
 
     def test_no_cell_with_two_samples(self):
         h = np.array([-0.9, 0.0, 0.9])
         v = np.array([-0.9, 0.0, 0.9])
-        assert fixation_zone_spread(h, v, ZoneGrid()) == ((0.0, 0.0), (0.0, 0.0))
+        assert fixation_zone_spread(h, v) == ((0.0, 0.0), (0.0, 0.0))
 
 
 class TestEyeClosure:
@@ -246,12 +246,9 @@ class TestExtraction:
     def test_matches_brute_force_windows(self):
         rng = np.random.default_rng(42)
         log = random_gaze_log(rng, 600)
-        window = WindowSpec(4.0)
-        fixation = FixationParams()
-        grid = ZoneGrid()
-        matrix = extract_gaze_features(log, window, fixation, grid)
+        matrix = extract_gaze_features(log, WindowSpec(4.0))
         w = frames_for_duration(4.0, FPS)
-        min_dur = frames_for_duration(fixation.min_duration_seconds, FPS)
+        min_dur = frames_for_duration(0.1, FPS)
         worst = 0.0
         for t in rng.choice(600, size=50, replace=False):
             lo = max(0, t - w + 1)
@@ -261,10 +258,10 @@ class TestExtraction:
                 log.eye_closed[lo : t + 1],
                 log.valid[lo : t + 1],
                 25.0,
-                fixation.dispersion_threshold,
+                0.05,
                 min_dur,
-                grid.rows,
-                grid.cols,
+                3,
+                3,
                 DEFAULT_GRID_BOUNDS,
             )
             worst = max(worst, np.abs(matrix.values[t] - np.array(expected)).max())
@@ -286,12 +283,10 @@ class TestExtraction:
         h = np.cumsum(rng.normal(0, 0.05, n))
         v = np.cumsum(rng.normal(0, 0.05, n))
         perm = rng.permutation(n)
-        fixation = FixationParams()
-        grid = ZoneGrid()
         ones = np.ones(n, dtype=bool)
         zeros = np.zeros(n, dtype=bool)
-        a = window_features(h, v, zeros, ones, FPS, fixation, grid)
-        b = window_features(h[perm], v[perm], zeros, ones, FPS, fixation, grid)
+        a = window_features(h, v, zeros, ones, FPS)
+        b = window_features(h[perm], v[perm], zeros, ones, FPS)
         for axis_base in (4, 16):
             assert a[axis_base : axis_base + 5] == pytest.approx(
                 b[axis_base : axis_base + 5]
@@ -380,20 +375,21 @@ def gaze_logs(draw):
 @given(
     log=gaze_logs(),
     seconds=st.sampled_from([0.04, 0.12, 0.2, 0.4, 1.0, 2.0]),
-    min_seconds=st.sampled_from([0.04, 0.1, 0.2]),
+    fps=st.sampled_from([10.0, 20.0, 25.0, 40.0, 50.0]),
 )
-def test_every_row_matches_oracle(log, seconds, min_seconds):
+def test_every_row_matches_oracle(log, seconds, fps):
     """Every frame's row equals the brute-force oracle on its own window.
 
-    Windows of 1-50 frames against minimum fixations of 1-5 frames cover
-    windows shorter than a fixation, fixations cut by the trailing edge and
-    window starts inside a fixation; NaN runs, all-closed and constant logs,
-    and coordinates outside (or below) the zone grid are drawn too.
+    The log's frame rate sets the 0.1 s minimum fixation to 1-5 frames.
+    Windows of 1-100 frames against those cover windows shorter than a
+    fixation, fixations cut by the trailing edge and window starts inside a
+    fixation; NaN runs, all-closed and constant logs, and coordinates
+    outside (or below) the zone grid are drawn too.
     """
-    fixation = FixationParams(min_duration_seconds=min_seconds)
-    matrix = extract_gaze_features(log, WindowSpec(seconds), fixation, ZoneGrid())
-    w = frames_for_duration(seconds, FPS)
-    min_dur = frames_for_duration(min_seconds, FPS)
+    log = dataclasses.replace(log, fps=FrameRate(fps))
+    matrix = extract_gaze_features(log, WindowSpec(seconds))
+    w = frames_for_duration(seconds, log.fps)
+    min_dur = frames_for_duration(0.1, log.fps)
     for t in range(len(log)):
         lo = max(0, t - w + 1)
         expected = window_features_direct(
@@ -401,8 +397,8 @@ def test_every_row_matches_oracle(log, seconds, min_seconds):
             log.v[lo : t + 1],
             log.eye_closed[lo : t + 1],
             log.valid[lo : t + 1],
-            25.0,
-            fixation.dispersion_threshold,
+            fps,
+            0.05,
             min_dur,
             3,
             3,
