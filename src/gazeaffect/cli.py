@@ -62,7 +62,8 @@ def cli():
 @click.option("--fps", required=True, type=float)
 @click.option("--window-seconds", default=4.0, show_default=True, type=float)
 @click.option("--gaze-columns", "columns_flag", default=None,
-              help="Mapping h=<col>,v=<col>,closed=<col>,valid=<col>")
+              help="Mapping h=<col>,v=<col>,closed=<col>,valid=<col>; an unmapped "
+                   "column is read by its own name")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def extract_gaze_cmd(in_path, fps, window_seconds, columns_flag, out_path):
     """Extract the 31 windowed gaze features from a gaze log CSV."""

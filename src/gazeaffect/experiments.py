@@ -42,6 +42,7 @@ from .network import (
 )
 from .timeline import (
     DIMENSIONS,
+    GAZE_COLUMNS,
     AnnotationTrace,
     CorpusManifest,
     FeatureMatrix,
@@ -158,7 +159,8 @@ class ExperimentConfig:
         """Build a config from the keys present in `doc`; every absent key
         keeps its dataclass default. Relative paths resolve against `base`,
         and a key that is not read here (in a per-dimension map, a key other
-        than a dimension) is a ConfigError."""
+        than a dimension; in gaze_columns, one other than a logical gaze
+        column) is a ConfigError."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
         fields, shift, read = {}, {}, set()
@@ -193,7 +195,7 @@ class ExperimentConfig:
         get("training.max_epochs", _int)
         get("training.patience_epochs", _int)
         get("training.noise_sigma", float)
-        get("gaze_columns", lambda c: c if c is None else _each(_str)(c))
+        get("gaze_columns", lambda c: c if c is None else _each(_str)(c), keys=GAZE_COLUMNS)
         get("out_dir", resolve)
         get("jobs", _int)
         get("cross_both_directions", _bool)
@@ -233,9 +235,10 @@ def _unknown_keys(doc: dict, read: set[tuple[str, ...]], prefix: tuple = ()) -> 
         path = prefix + (key,)
         if path in read:
             continue
-        if isinstance(value, dict) and any(p[: len(path)] == path for p in read):
+        below = any(p[: len(path)] == path for p in read)
+        if isinstance(value, dict) and below:
             unknown += _unknown_keys(value, read, path)
-        else:
+        elif not (below and value is None):  # a null object (gaze_columns) holds no key
             unknown.append(".".join(path))
     return unknown
 

@@ -15,12 +15,12 @@ to each range and sum run-length powers exactly in integers. Moments,
 quantiles, band powers and zone spreads run on (windows, length) blocks: the
 windows, sorted by length, are gathered into rows padded to the block's
 longest, and each statistic reads the first n samples of its row (quantiles
-from a sort with the padding last, masked moments and spreads, and a product
-with the cos/sin basis of DFT bins 1-12 per distinct length); spreads are
-two-pass grouped sums. I-DT uses a jump table: ext[s] ends the longest run
-from s within the dispersion threshold (dispersion only grows with the end),
-so a window's fixations are the chain s -> ext[s], or s + 1 when that run is
-too short, from a, the last one cut at b; all chains step together. The
+from a sort with the padding last, masked moments and spreads, and one real
+FFT per distinct length for periodogram bins 1-12); spreads are two-pass
+grouped sums. I-DT uses a jump table: ext[s] ends the longest run from s
+within the dispersion threshold (dispersion only grows with the end), so a
+window's fixations are the chain s -> ext[s], or s + 1 when that run is too
+short, from a, the last one cut at b; all chains step together. The
 single-window functions call the same code with one range.
 """
 
@@ -215,26 +215,18 @@ def _functionals(x: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _band_powers(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Five band powers of the first n samples of each row (last axis; n
-    ascending) from the periodogram P_k = |DFT_k|^2 / n, k = 1..12: one
-    product per distinct length with its cos/sin basis, the bases of all
-    lengths built in one pass; bins k > n/2 give 0. Bins k >= 1 ignore a
-    constant offset, so each series is taken relative to its first sample: a
-    constant window gives exact 0."""
-    k = np.arange(1, 13)
+    ascending) from the periodogram P_k = |DFT_k|^2 / n, k = 1..12: one real
+    FFT per distinct length over that length's rows, whose bins stop at
+    n // 2, so higher bins give 0. Bins k >= 1 ignore a constant offset, so
+    each series is taken relative to its first sample: a constant window
+    gives exact 0."""
+    power = np.zeros(x.shape[:-1] + (12,))
     lengths, starts, counts = np.unique(n, return_index=True, return_counts=True)
-    offsets = np.cumsum(lengths) - lengths  # where each length's basis rows start
-    m = np.repeat(lengths, lengths)[:, None]
-    t = np.arange(len(m))[:, None] - np.repeat(offsets, lengths)[:, None]
-    angle = 2 * np.pi / m * (t * k % m)
-    basis = np.empty((len(m), 24))
-    np.cos(angle, out=basis[:, :12])
-    np.sin(angle, out=basis[:, 12:])
-    dft = np.empty(x.shape[:-1] + (24,))
-    for length, s, c, o in zip(*(v.tolist() for v in (lengths, starts, counts, offsets))):
-        shifted = x[..., s : s + c, :length] - x[..., s : s + c, :1]
-        dft[..., s : s + c, :] = shifted @ basis[o : o + length]
-    power = (dft[..., :12] ** 2 + dft[..., 12:] ** 2) / n[:, None]
-    return (power * (2 * k <= n[:, None])) @ _BANDS
+    for length, s, c in zip(lengths.tolist(), starts.tolist(), counts.tolist()):
+        rows = x[..., s : s + c, :length]
+        dft = np.fft.rfft(rows - rows[..., :1])[..., 1:13]
+        power[..., s : s + c, : dft.shape[-1]] = (dft.real**2 + dft.imag**2) / length
+    return power @ _BANDS
 
 
 def _zone_spread(x: np.ndarray, n: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
@@ -256,15 +248,11 @@ def _zone_spread(x: np.ndarray, n: np.ndarray, cells: np.ndarray, n_cells: int) 
 
 def _blocks(n: np.ndarray, budget: int):
     """[s, e) blocks of the ascending lengths n: one row, or at most `budget`
-    padded samples per axis (rows times the longest length) whose distinct
-    lengths sum to at most budget / 12, so the block's DFT bases (24 values
-    per sample of each length) hold no more values than its two axes."""
-    basis = np.cumsum(np.where(np.diff(n, prepend=0) > 0, n, 0))  # distinct lengths so far
+    padded samples per axis (rows times the block's longest length)."""
     s = 0
     while s < len(n):
         end = min(len(n), s + max(1, budget // n[s]))
-        rows = np.arange(1, end - s + 1)
-        cost = np.maximum(rows * n[s:end], 12 * (basis[s:end] - basis[s] + n[s]))
+        cost = np.arange(1, end - s + 1) * n[s:end]
         e = s + max(1, np.searchsorted(cost, budget, side="right"))
         yield s, e
         s = e

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .timeline import DIMENSIONS, FeatureMatrix, FrameRate, save_feature_csv, save_numeric_csv
+from .timeline import (
+    DIMENSIONS, GAZE_COLUMNS, FeatureMatrix, FrameRate, save_feature_csv, save_numeric_csv,
+)
 
 SPEECH_SIGNAL_COLUMN = "speech_env"
 
@@ -114,7 +116,7 @@ def _generate_recording(spec: SyntheticCorpusSpec, out_dir: Path, rec_id: str, r
     gaze_path = out_dir / f"{rec_id}_gaze.csv"
     save_feature_csv(FeatureMatrix(speech_names, speech.T, fps), speech_path)
     columns = (h.tolist(), v.tolist(), closed.tolist(), valid.tolist())
-    save_numeric_csv(gaze_path, ["frame", "h", "v", "eye_closed", "valid"], zip(range(n), *columns))
+    save_numeric_csv(gaze_path, GAZE_COLUMNS, zip(range(n), *columns))
 
     # Annotations: lagged mixture of the two latents, per dimension.
     ann_paths = {}

@@ -21,13 +21,9 @@ from .errors import DataError
 PARTITIONS = ("train", "validation", "test")
 DIMENSIONS = ("arousal", "valence")
 
-# Default logical-column mapping for gaze CSVs written by this package.
-DEFAULT_GAZE_COLUMNS = {
-    "h": "h",
-    "v": "v",
-    "eye_closed": "eye_closed",
-    "valid": "valid",
-}
+# Logical gaze-log columns; an unmapped one is read from the CSV column of its
+# own name ('frame' is optional).
+GAZE_COLUMNS = ("frame", "h", "v", "eye_closed", "valid")
 
 
 @dataclass(frozen=True)
@@ -300,19 +296,20 @@ def load_gaze_log_csv(
     fps: FrameRate,
     column_map: dict[str, str] | None = None,
 ) -> GazeLog:
-    """Load a gaze log CSV using a logical-to-physical column mapping.
+    """Load a gaze log CSV using a logical-to-physical column mapping; a
+    logical column it does not map is read from the column of its own name.
 
     A 'frame' column, when present, must count contiguously from 0.
     """
     path = Path(path)
-    column_map = dict(DEFAULT_GAZE_COLUMNS if column_map is None else column_map)
+    column_map = column_map or {}
 
     def columns(header):
         col_index = {name: i for i, name in enumerate(header)}
         frame = col_index.get(column_map.get("frame", "frame"))
         cols = [] if frame is None else [frame]
-        for logical in ("h", "v", "eye_closed", "valid"):
-            physical = column_map.get(logical)
+        for logical in GAZE_COLUMNS[1:]:
+            physical = column_map.get(logical, logical)
             if physical not in col_index:
                 raise DataError(
                     f"{path}: cannot map required gaze column {logical!r} "
@@ -357,13 +354,17 @@ def load_annotation_csv(path: str | Path, dimension: str, fps: FrameRate) -> Ann
 
 
 def parse_gaze_columns_flag(flag: str) -> dict[str, str]:
-    """Parse the CLI mapping flag 'h=<col>,v=<col>,closed=<col>,valid=<col>'."""
+    """Parse the CLI mapping flag 'h=<col>,v=<col>,closed=<col>,valid=<col>'
+    (any subset, in any order; 'frame=<col>' too)."""
     aliases = {"closed": "eye_closed"}
     mapping = {}
     for part in flag.split(","):
         if "=" not in part:
             raise DataError(f"bad --gaze-columns entry {part!r} (expected key=col)")
         key, _, col = part.partition("=")
-        key = key.strip()
-        mapping[aliases.get(key, key)] = col.strip()
+        key = aliases.get(key.strip(), key.strip())
+        if key not in GAZE_COLUMNS:
+            raise DataError(f"unknown --gaze-columns key {key!r} (expected one of "
+                            f"{', '.join(GAZE_COLUMNS)}, closed)")
+        mapping[key] = col.strip()
     return mapping

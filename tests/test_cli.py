@@ -88,6 +88,16 @@ class TestExtractGaze:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("columns, expected", [("v=v", 0), ("bogus=z", 1)])
+    def test_partial_or_unknown_column_mapping(self, corpus_dir, tmp_path, columns, expected):
+        # Unmapped logical columns are read by their own names; an unknown
+        # key is a usage fault.
+        code = run_cli([
+            "extract-gaze", "--in", str(corpus_dir / "train00_gaze.csv"), "--fps", "25",
+            "--gaze-columns", columns, "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == expected
+
 
 class TestFuse:
     def test_success(self, corpus_dir, tmp_path):

@@ -156,12 +156,18 @@ class TestConfig:
             ({"training": {"seeds": [-1]}}, "training.seeds"),
             ({"training": {"seeds": [1, -1]}}, "training.seeds"),
             ({"gaze_columns": {"h": ["x"]}}, "gaze_columns"),
+            ({"gaze_columns": {"h": "h", "bogus": "z"}}, "gaze_columns.bogus"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):
         doc = {"train_manifest": str(corpus_dir / "manifest.json"), **extra}
         with pytest.raises(ConfigError, match=f"'{field}'"):
             ExperimentConfig.from_dict(doc, base=tmp_path)
+
+    @pytest.mark.parametrize("columns", [None, {"h": "gx"}])
+    def test_gaze_columns_null_or_partial(self, tmp_path, corpus_dir, columns):
+        doc = {"train_manifest": str(corpus_dir / "manifest.json"), "gaze_columns": columns}
+        assert ExperimentConfig.from_dict(doc, base=tmp_path).gaze_columns == columns
 
     def test_cross_overrides_int_or_null(self, tmp_path, corpus_dir):
         doc = {

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gazeaffect.errors import DataError
@@ -93,13 +93,22 @@ def test_ccc_symmetric_and_bounded_by_pearson(xs, ys):
     st.floats(-3, 3),
 )
 def test_ccc_affine_invariance(xs, scale, offset):
+    # The degenerate flag is an absolute threshold on a denominator that
+    # scales with scale**2, so the value is invariant only for pairs that are
+    # unflagged both before and after the map.
     x = np.array(xs)
     y = x[::-1].copy()
     before, degenerate = ccc_flagged(x, y)
-    if degenerate:
-        return
-    after = ccc(scale * x + offset, scale * y + offset)
-    assert after == pytest.approx(before, abs=1e-9)
+    mapped = scale * x + offset, scale * y + offset
+    assume(not degenerate and not ccc_flagged(*mapped)[1])
+    assert ccc(*mapped) == pytest.approx(before, abs=1e-9)
+
+
+def test_ccc_degenerate_threshold_is_absolute():
+    # Denominator 4.4e-11 before scaling and 6.9e-13 after, against 1e-12.
+    x = np.array([0.0, 0.0, 1e-05])
+    assert ccc_flagged(x, x[::-1]) == (-0.5, False)
+    assert ccc_flagged(0.125 * x, 0.125 * x[::-1]) == (0.0, True)
 
 
 def test_ccc_self_agreement_property():

@@ -225,6 +225,13 @@ class TestGazeCsv:
         assert log.h[1] == pytest.approx(0.3)
         assert bool(log.eye_closed[1]) is True
 
+    def test_partial_mapping_reads_the_rest_by_name(self, tmp_path, fps25):
+        p = tmp_path / "g.csv"
+        p.write_text("gx,v,eye_closed,valid\n0.1,0.2,0,1\n0.3,0.4,1,1\n")
+        log = load_gaze_log_csv(p, fps25, {"h": "gx"})
+        assert log.h.tolist() == [0.1, 0.3] and log.v.tolist() == [0.2, 0.4]
+        assert log.eye_closed.tolist() == [False, True]
+
     def test_missing_column_is_error(self, tmp_path, fps25):
         p = tmp_path / "g.csv"
         p.write_text("h,v,valid\n0.1,0.2,1\n")
@@ -279,6 +286,10 @@ class TestGazeCsv:
     def test_parse_columns_flag(self):
         mapping = parse_gaze_columns_flag("h=gx,v=gy,closed=au45,valid=ok")
         assert mapping == {"h": "gx", "v": "gy", "eye_closed": "au45", "valid": "ok"}
+
+    def test_parse_columns_flag_unknown_key(self):
+        with pytest.raises(DataError, match="'bogus'"):
+            parse_gaze_columns_flag("h=h,bogus=z")
 
 
 class TestAnnotationCsv:
