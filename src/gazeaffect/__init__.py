@@ -1,6 +1,7 @@
 """Bimodal speech + eye-gaze continuous affect prediction toolkit."""
 
 from .errors import ConfigError, DataError, DivergenceError, GazeAffectError
+from .experiments import predict_trace
 from .fusion import (
     NormStats,
     convert_shift,
@@ -25,9 +26,7 @@ from .network import (
     init_network,
     inject_noise,
     load_model,
-    network_forward,
     predict,
-    predict_trace,
     save_model,
     train_network,
 )

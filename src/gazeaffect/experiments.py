@@ -422,18 +422,26 @@ def run_task(task: RunTask) -> tuple[ResultRow, TrainedModel | None]:
     model.norm_stats, model.dimension, model.shift_used = stats, row.dimension, row.shift_frames
     model.metadata.update(modality=row.modality, network=row.network)
     row.val_sse = model.metadata["best_val_sse"]
-    row.val_ccc = _score_ccc(model, task.val_set, stats)
+    row.val_ccc = _score_ccc(model, task.val_set)
     if task.test_set:
-        row.test_ccc = _score_ccc(model, task.test_set, stats)
+        row.test_ccc = _score_ccc(model, task.test_set)
     return row, model
 
 
-def _score_ccc(model: TrainedModel, pairs, stats) -> float:
+def predict_trace(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
+    """Inference path: normalize features, run the network, denormalize output.
+
+    No noise is injected. Returns per-frame predictions in annotation units.
+    """
+    if model.norm_stats is None:
+        raise DataError("model has no normalization stats; cannot predict raw features")
+    x = normalize_features(matrix, model.norm_stats)
+    return denormalize_target(predict(model.params, model.spec, x), model.norm_stats)
+
+
+def _score_ccc(model: TrainedModel, pairs) -> float:
     """CCC between concatenated predictions and targets, in annotation units."""
-    preds = [
-        denormalize_target(predict(model.params, model.spec, normalize_features(f, stats)), stats)
-        for f, _ in pairs
-    ]
+    preds = [predict_trace(model, f) for f, _ in pairs]
     return ccc(np.concatenate(preds), np.concatenate([t.values for _, t in pairs]))
 
 

@@ -332,6 +332,8 @@ def psd_band_powers(series: np.ndarray) -> np.ndarray:
     The series is mean-removed; P_k = |DFT_k|^2 / N. Bins above N/2 or beyond
     the available resolution contribute 0.
     """
+    if len(series) == 0:
+        raise DataError("coordinate series is empty")
     return _band_powers(np.asarray(series, dtype=float)[None], np.array([len(series)]))[0]
 
 

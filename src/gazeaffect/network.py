@@ -219,20 +219,23 @@ def _direction_forward(dw: DirectionWeights, x: np.ndarray):
     h = c = np.zeros(lead + (h_dim,))
     rec, tmp = np.empty(lead + (4 * h_dim, 1)), np.empty_like(h)
     cell = slice(2 * h_dim, 3 * h_dim)
-    for t in range(len(gates)):
-        z = gates[t]
-        np.matmul(dw.r, h[..., None], out=rec)
-        z += rec[..., 0]
-        np.tanh(z[..., cell], out=tmp)
-        np.negative(z, out=z)  # logistic sigmoid 1 / (1 + exp(-z)), in place
-        np.exp(z, out=z)
-        z += 1.0
-        np.divide(1.0, z, out=z)
-        z[..., cell] = tmp
-        c = np.multiply(z[..., h_dim : 2 * h_dim], c, out=cs[t])
-        c += np.multiply(z[..., :h_dim], tmp, out=tmp)
-        h = np.tanh(c, out=hs[t])
-        h *= z[..., 3 * h_dim :]
+    # A saturated gate (z far below 0) overflows exp(-z) to inf, and
+    # 1 / (1 + inf) is 0, the logistic's exact limit: nothing to warn about.
+    with np.errstate(over="ignore"):
+        for t in range(len(gates)):
+            z = gates[t]
+            np.matmul(dw.r, h[..., None], out=rec)
+            z += rec[..., 0]
+            np.tanh(z[..., cell], out=tmp)
+            np.negative(z, out=z)  # logistic sigmoid 1 / (1 + exp(-z)), in place
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
+            z[..., cell] = tmp
+            c = np.multiply(z[..., h_dim : 2 * h_dim], c, out=cs[t])
+            c += np.multiply(z[..., :h_dim], tmp, out=tmp)
+            h = np.tanh(c, out=hs[t])
+            h *= z[..., 3 * h_dim :]
     return np.moveaxis(hs, 0, -2), (x, gates, cs, hs)
 
 
@@ -316,23 +319,13 @@ def _input_gradient(dw: DirectionWeights, dz: np.ndarray) -> np.ndarray:
     return sum(dxs[..., k, s, :] for k, s in enumerate(_DIRECTION_TIME[: dw.b.shape[-2]]))
 
 
-def network_forward(params: NetworkParams, spec: NetworkSpec, x: np.ndarray):
-    """Full forward pass; returns (per-frame predictions, layer caches).
+def predict(params: NetworkParams, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
+    """Per-frame predictions. Each layer's cache is freed once the next layer
+    has its input, so the peak holds one layer's buffers.
 
     A batched `params` (theta of shape (..., P)) gives predictions of shape
     (..., N), one row per weight set, from the same time loops.
     """
-    caches = []
-    current = _checked_input(spec, x)
-    for dw in params.stacked:
-        current, cache = _layer_forward(dw, current)
-        caches.append(cache)
-    return _readout(params, current), (caches, current)
-
-
-def predict(params: NetworkParams, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
-    """Predictions only: each layer's cache is freed once the next layer has
-    its input, so the peak holds one layer's buffers."""
     current = _checked_input(spec, x)
     for dw in params.stacked:
         current = _layer_forward(dw, current)[0]
@@ -364,7 +357,12 @@ def bptt_gradients(
     Returns (gradients as a NetworkParams, loss).
     """
     targets = np.asarray(targets, dtype=float)
-    preds, (caches, last_h) = network_forward(params, spec, x)
+    caches, last_h = [], _checked_input(spec, x)
+    for dw in params.stacked:  # the forward pass, keeping each layer's cache
+        last_h, cache = _layer_forward(dw, last_h)
+        caches.append(cache)
+    del cache  # so the backward pass below frees the top layer's cache too
+    preds = _readout(params, last_h)
     if len(targets) != len(preds):
         raise DataError(
             f"target length {len(targets)} != sequence length {len(preds)}"
@@ -465,20 +463,6 @@ def train_network(
             "best_val_sse": best_val,
         },
     )
-
-
-def predict_trace(model: TrainedModel, matrix) -> np.ndarray:
-    """Inference path: normalize features, run the network, denormalize output.
-
-    No noise is injected. Returns per-frame predictions in annotation units.
-    """
-    from .fusion import denormalize_target, normalize_features
-
-    if model.norm_stats is None:
-        raise DataError("model has no normalization stats; cannot predict raw features")
-    x = normalize_features(matrix, model.norm_stats)
-    preds = predict(model.params, model.spec, x)
-    return denormalize_target(preds, model.norm_stats)
 
 
 # ---------------------------------------------------------------------------

@@ -264,20 +264,29 @@ class TestExperimentsCommands:
 
     def test_divergence_prints_no_numpy_warnings(self, corpus_dir, tmp_path):
         # a subprocess, so stderr is what a user sees: pytest records warnings itself
-        config = write_config(
-            tmp_path / "c.json", corpus_dir,
-            training={"learning_rates": [1e30, 1e-3], "seeds": [7], "max_epochs": 3,
-                      "patience_epochs": 2},
-        )
-        src = Path(gazeaffect.__file__).parents[1]
-        done = subprocess.run(
-            [sys.executable, "-m", "gazeaffect.cli", "train", "--config", str(config),
-             "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        def run(command, max_epochs, patience_epochs):
+            config = write_config(
+                tmp_path / f"{command}.json", corpus_dir,
+                training={"learning_rates": [1e30, 1e-3], "seeds": [7],
+                          "max_epochs": max_epochs, "patience_epochs": patience_epochs},
+            )
+            return subprocess.run(
+                [sys.executable, "-m", "gazeaffect.cli", command, "--config", str(config),
+                 "--out-dir", str(tmp_path / command)],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": str(Path(gazeaffect.__file__).parents[1])},
+            )
+
+        done = run("train", 3, 2)
         assert done.returncode == 3
         assert "training diverged: 1 of 2" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        # Two epochs end before the 1e30 runs overflow, so they are scored
+        # through saturated gates: exp(-z) overflows inside the logistic.
+        done = run("sweep", 2, 1)
+        assert done.returncode == 0
+        rows = (tmp_path / "sweep" / "sweep_results.csv").read_text().splitlines()
+        assert any(",1e+30,0.0000,,synth,,ok" in row for row in rows)
         assert "RuntimeWarning" not in done.stderr
 
     def test_cross_eval(self, corpus_dir, tmp_path):

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazeaffect import experiments
+from gazeaffect import (
+    ccc,
+    experiments,
+    load_corpus_manifest,
+    load_model,
+    predict_trace,
+    save_model,
+    shift_annotations,
+)
 from gazeaffect.errors import ConfigError, DataError
 from gazeaffect.experiments import (
     DEFAULT_ANCHOR_FRAMES,
@@ -430,6 +438,36 @@ class TestCrossCorpus:
         }
         # the 25 fps train and validation traces move by 7, the 30 fps test traces by test_shift
         assert applied == [(25.0, 7), (30.0, test_shift)]
+
+    def test_saved_models_give_back_their_test_ccc(self, corpus_dir, corpus_30fps, tmp_path):
+        # 7 frames at 25 fps are 8 at 30 fps, and 7 at 30 fps are 6 at 25 fps
+        config = small_config(
+            corpus_dir,
+            test_manifest=corpus_30fps / "manifest.json",
+            modalities=("speech", "gaze"),
+            networks=(NetworkChoice("lstm", (4,)),),
+            shift=ShiftSettings(chosen_frames={"arousal": 7}),
+            cross_both_directions=True,
+        )
+        table, models = run_cross_corpus(config)
+        assert [r.status for r in table.rows] == ["ok"] * 4
+        test_recordings = {}
+        for root in (corpus_dir, corpus_30fps):
+            manifest = load_corpus_manifest(root / "manifest.json")
+            recs = experiments.load_corpus_data(manifest, "arousal", 1.0, None, config.modalities)
+            test_recordings[manifest.corpus_name] = [r for r in recs if r.partition == "test"]
+        shifts = set()
+        for i, (row, model) in enumerate(zip(table.rows, models)):
+            save_model(model, tmp_path / f"model{i}.json")
+            loaded = load_model(tmp_path / f"model{i}.json")
+            assert loaded.metadata["modality"] == row.modality
+            frames = loaded.metadata["shift_conversion"]["test_shift_frames"]
+            shifts.add(frames)
+            test = test_recordings[row.test_corpus]
+            preds = [predict_trace(loaded, r.features[row.modality]) for r in test]
+            truth = [shift_annotations(r.annotation, frames).values for r in test]
+            assert ccc(np.concatenate(preds), np.concatenate(truth)) == row.test_ccc
+        assert shifts == {6, 8}
 
     def test_shift_too_large_for_a_float(self, corpus_dir, corpus_30fps):
         # rejected against the training traces before it is converted to 30 fps

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gazeaffect.gaze_features as gf
+from gazeaffect.errors import DataError
 from gazeaffect.gaze_features import (
     GAZE_FEATURE_NAMES,
     WindowSpec,
@@ -153,6 +154,11 @@ class TestPsdBands:
         # and 2 samples it has none and one.
         series = np.random.default_rng(n).normal(size=n)
         assert np.abs(psd_band_powers(series) - psd_bands_direct(series.tolist())).max() < 1e-9
+
+    def test_empty_raises(self):
+        # the same contract as coordinate_functionals, not numpy's FFT error
+        with pytest.raises(DataError, match="^coordinate series is empty$"):
+            psd_band_powers(np.array([]))
 
 
 class TestZoneSpread:

@@ -2,11 +2,13 @@ import hashlib
 import json
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import gazeaffect.network as nw
+from gazeaffect import predict_trace
 from gazeaffect.errors import DataError, DivergenceError
 from gazeaffect.fusion import NormStats, fit_norm_stats
 from gazeaffect.metrics import ccc
@@ -20,9 +22,7 @@ from gazeaffect.network import (
     init_network,
     inject_noise,
     load_model,
-    network_forward,
     predict,
-    predict_trace,
     save_model,
     train_network,
 )
@@ -88,12 +88,22 @@ class TestInit:
                 assert np.array_equal(d.b, np.zeros_like(d.b))
 
 
+def forward_keeping_caches(params, x):
+    """The forward pass as BPTT runs it: every layer's cache lives until the
+    readout."""
+    caches, h = [], x
+    for dw in params.stacked:
+        h, cache = nw._layer_forward(dw, h)
+        caches.append(cache)
+    return nw._readout(params, h)
+
+
 class TestForward:
     def test_zero_weights_zero_output(self):
         spec = small_spec()
         params = init_network(spec, 0)
         params.theta[...] = 0.0
-        preds, _ = network_forward(params, spec, np.random.default_rng(0).normal(size=(20, 5)))
+        preds = predict(params, spec, np.random.default_rng(0).normal(size=(20, 5)))
         assert np.array_equal(preds, np.zeros(20))
 
     @pytest.mark.parametrize("kind", ["lstm", "blstm"])
@@ -102,7 +112,7 @@ class TestForward:
         params = init_network(spec, 0)
         x = np.random.default_rng(3).normal(size=(400, 88))
         peaks, outputs = [], []
-        for run in (lambda: predict(params, spec, x), lambda: network_forward(params, spec, x)[0]):
+        for run in (lambda: predict(params, spec, x), lambda: forward_keeping_caches(params, x)):
             tracemalloc.start()
             try:
                 outputs.append(run())
@@ -110,7 +120,7 @@ class TestForward:
             finally:
                 tracemalloc.stop()
         assert np.array_equal(outputs[0], outputs[1])
-        # predict holds one layer's buffers, network_forward keeps both caches
+        # predict holds one layer's buffers, the reference keeps both caches
         assert peaks[0] < 0.75 * peaks[1]
 
     def test_output_length(self):
@@ -258,6 +268,28 @@ class TestGradients:
         rng = np.random.default_rng(4)
         bptt_gradients(params, spec, rng.normal(size=(12, 5)), rng.normal(size=12))
         assert widths == [6, 8]  # layers 2 and 1; never layer 0's 5-wide input
+
+    def test_each_cache_freed_after_its_layer(self, monkeypatch):
+        # BPTT keeps every layer's cache through the forward pass, then frees
+        # each one once its layer is done, the top layer's included
+        forward, backward = nw._layer_forward, nw._layer_backward
+        gates, alive = [], []
+
+        def recording_forward(dw, x):
+            out, cache = forward(dw, x)
+            gates.append(weakref.ref(cache[1]))
+            return out, cache
+
+        def recording_backward(dw, cache, d_out, grad):
+            alive.append([ref() is not None for ref in gates])
+            return backward(dw, cache, d_out, grad)
+
+        monkeypatch.setattr(nw, "_layer_forward", recording_forward)
+        monkeypatch.setattr(nw, "_layer_backward", recording_backward)
+        spec = small_spec("blstm", (8, 6, 4))
+        rng = np.random.default_rng(4)
+        bptt_gradients(init_network(spec, 0), spec, rng.normal(size=(12, 5)), rng.normal(size=12))
+        assert alive == [[True, True, True], [True, True, False], [True, False, False]]
 
     def test_zero_guard_degenerate_check(self):
         # Zero weights + zero targets: every relative error stays defined.
