@@ -169,6 +169,8 @@ def _load_config(config_path: str | None, out_dir: str | None, jobs: int | None)
     if out_dir is not None:
         config.out_dir = Path(out_dir).resolve()
     if jobs is not None:
+        if jobs < 1:
+            raise ConfigError(f"--jobs needs N >= 1, got {jobs}")
         config.jobs = jobs
     config.out_dir.mkdir(parents=True, exist_ok=True)
     return config

@@ -101,7 +101,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1787452436,)
     max_epochs: int = TrainConfig.max_epochs
     patience_epochs: int = TrainConfig.patience_epochs
-    noise_sigma: float = TrainConfig.noise_sigma
     gaze_columns: dict[str, str] | None = None
     out_dir: Path = Path(".")
     jobs: int = 1
@@ -126,6 +125,11 @@ class ExperimentConfig:
             raise ConfigError("network/learning-rate/seed grids must be non-empty")
         if min(self.seeds) < 0:
             raise ConfigError(f"config field 'training.seeds' needs seeds >= 0, got {self.seeds}")
+        kinds = [net.kind for net in self.networks]
+        if len(set(kinds)) < len(kinds):  # a results row names its network by kind alone
+            raise ConfigError(f"config field 'networks' needs distinct kinds, got {kinds}")
+        if self.jobs < 1:
+            raise ConfigError(f"config field 'jobs' needs jobs >= 1, got {self.jobs}")
         try:  # the network and training rules, checked before any data is read
             for net in self.networks:
                 net.build_spec(1)
@@ -140,7 +144,6 @@ class ExperimentConfig:
             seed=seed,
             max_epochs=self.max_epochs,
             patience_epochs=self.patience_epochs,
-            noise_sigma=self.noise_sigma,
         )
 
     @classmethod
@@ -150,7 +153,7 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc, base=path.parent)
 
@@ -158,89 +161,79 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict, base: Path = Path(".")) -> "ExperimentConfig":
         """Build a config from the keys present in `doc`; every absent key
         keeps its dataclass default. Relative paths resolve against `base`,
-        and a key that is not read here (in a per-dimension map, a key other
-        than a dimension; in gaze_columns, one other than a logical gaze
-        column) is a ConfigError."""
+        and a key the schema does not name (in a per-dimension map, a key
+        other than a dimension; in gaze_columns, one other than a logical
+        gaze column) is a ConfigError."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
-        fields, shift, read = {}, {}, set()
-
-        def get(path, convert, into=fields, keys=None):  # keys: all an object at path may hold
-            parts = tuple(path.split("."))
-            read.update([parts] if keys is None else [parts + (k,) for k in keys])
-            _field(doc, path, convert, into)
 
         def resolve(p):
             return (base / p).resolve()
 
-        fields["out_dir"] = resolve(".")  # the default, unless the config names one
-        get("shift.anchor_frames", _each(_int, DEFAULT_ANCHOR_FRAMES), shift, DIMENSIONS)
-        get("shift.chosen_frames", _each(_shift, DEFAULT_CHOSEN_FRAMES), shift, DIMENSIONS)
-        get("shift.range_seconds", float, shift)
-        get("shift.stride_frames", _int, shift)
-        get("shift.cross_overrides", _each(lambda v: v if v is None else _shift(v)), shift,
-            DIMENSIONS)
-        get(
-            "networks",
-            lambda ns: tuple(NetworkChoice(n["kind"], tuple(map(_int, n["sizes"])))
-                             for n in ns),
-        )
-        get("train_manifest", resolve)
-        get("test_manifest", lambda p: resolve(p) if p else None)
-        get("dimension", str)
-        get("modalities", _list(str))
-        get("window_seconds", _each(float, DEFAULT_WINDOW_SECONDS), keys=DIMENSIONS)
-        get("training.learning_rates", _list(float))
-        get("training.seeds", _list(_int))
-        get("training.max_epochs", _int)
-        get("training.patience_epochs", _int)
-        get("training.noise_sigma", float)
-        get("gaze_columns", lambda c: c if c is None else _each(_str)(c), keys=GAZE_COLUMNS)
-        get("out_dir", resolve)
-        get("jobs", _int)
-        get("cross_both_directions", _bool)
-        unknown = _unknown_keys(doc, read)
+        # key -> converter, (converter, the keys its object may hold) or a section's schema
+        schema = {
+            "train_manifest": resolve,
+            "test_manifest": lambda p: resolve(p) if p else None,
+            "dimension": str,
+            "modalities": _list(str),
+            "window_seconds": (_each(float, DEFAULT_WINDOW_SECONDS), DIMENSIONS),
+            "shift": {
+                "anchor_frames": (_each(_int, DEFAULT_ANCHOR_FRAMES), DIMENSIONS),
+                "chosen_frames": (_each(_shift, DEFAULT_CHOSEN_FRAMES), DIMENSIONS),
+                "range_seconds": float,
+                "stride_frames": _int,
+                "cross_overrides": (_each(lambda v: v if v is None else _shift(v)), DIMENSIONS),
+            },
+            "networks": lambda ns: tuple(NetworkChoice(n["kind"], tuple(map(_int, n["sizes"])))
+                                         for n in ns),
+            "training": {
+                "learning_rates": _list(float),
+                "seeds": _list(_int),
+                "max_epochs": _int,
+                "patience_epochs": _int,
+            },
+            "gaze_columns": (lambda c: c if c is None else _each(_str)(c), GAZE_COLUMNS),
+            "out_dir": resolve,
+            "jobs": _int,
+            "cross_both_directions": _bool,
+        }
+        unknown: list[str] = []
+        fields = {"out_dir": resolve("."), **_read(doc, schema, unknown)}
         if unknown:
             raise ConfigError("unknown config field(s) " + ", ".join(map(repr, unknown)))
         if "train_manifest" not in fields:
             raise ConfigError("config missing required field 'train_manifest'")
-        return cls(shift=ShiftSettings(**shift), **fields)
+        fields.update(fields.pop("training", {}))
+        return cls(shift=ShiftSettings(**fields.pop("shift", {})), **fields)
 
 
-_ABSENT = object()
-
-
-def _field(doc: dict, path: str, convert, into: dict) -> None:
-    """Store convert(value at `path`, e.g. "training.max_epochs") in `into`
-    under the path's last key; an absent key stores nothing. A malformed value
-    or section raises ConfigError naming the path."""
-    *sections, key = path.split(".")
-    try:
-        for name in sections:
-            doc = doc.get(name, {})
-        value = doc.get(key, _ABSENT)
-        if value is not _ABSENT:
-            into[key] = convert(value)
-    except KeyError as exc:
-        raise ConfigError(f"config field {path!r} has no {exc} entry") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config field {path!r} is invalid: {exc}") from exc
-
-
-def _unknown_keys(doc: dict, read: set[tuple[str, ...]], prefix: tuple = ()) -> list[str]:
-    """Dotted paths of the keys in `doc` that no path in `read` names or
-    leads through."""
-    unknown = []
+def _read(doc: dict, schema: dict, unknown: list[str], path: str = "") -> dict:
+    """Each key of `doc` converted by its rule in `schema`, and each section
+    read by its own schema; appends the dotted path of every key no rule
+    names to `unknown`. A malformed value raises ConfigError naming its path."""
+    fields = {}
     for key, value in doc.items():
-        path = prefix + (key,)
-        if path in read:
+        rule, where = schema.get(key), f"{path}{key}"
+        if rule is None:
+            unknown.append(where)
             continue
-        below = any(p[: len(path)] == path for p in read)
-        if isinstance(value, dict) and below:
-            unknown += _unknown_keys(value, read, path)
-        elif not (below and value is None):  # a null object (gaze_columns) holds no key
-            unknown.append(".".join(path))
-    return unknown
+        if isinstance(rule, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config field {where!r} must be a JSON object, "
+                                  f"not {type(value).__name__}")
+            fields[key] = _read(value, rule, unknown, where + ".")
+            continue
+        if isinstance(rule, tuple):
+            rule, keys = rule
+            if isinstance(value, dict):
+                unknown += [f"{where}.{k}" for k in value if k not in keys]
+        try:
+            fields[key] = rule(value)
+        except KeyError as exc:
+            raise ConfigError(f"config field {where!r} has no {exc} entry") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config field {where!r} is invalid: {exc}") from exc
+    return fields
 
 
 def _int(value) -> int:
@@ -454,9 +447,10 @@ def _task_row(task: RunTask) -> ResultRow:
 def _execute(run, tasks: list[RunTask], jobs: int) -> list:
     """run (a module-level function) of each task, in order. A pool worker
     gets run and the task list once, as it starts."""
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [run(t) for t in tasks]
-    with ProcessPoolExecutor(jobs, initializer=_set_worker, initargs=(run, tasks)) as pool:
+    with ProcessPoolExecutor(workers, initializer=_set_worker, initargs=(run, tasks)) as pool:
         return list(pool.map(_run_worker_task, range(len(tasks))))
 
 
@@ -554,18 +548,31 @@ def run_shift_sweep(
     config: ExperimentConfig, modality: str = "fused"
 ) -> tuple[ResultsTable, dict[str, int]]:
     """Train at every shift in the sweep; returns the table and the best shift
-    per network kind (argmax of validation CCC)."""
+    per network kind: the highest validation CCC among each shift's selected
+    run (its lowest validation SSE)."""
     corpus = _load(config, config.train_manifest, (modality,))
     fps = _partition(corpus[1], "train")[0].annotation.fps.fps
     shifts = sweep_shifts(config, fps, _shortest_trace(corpus[1]))
     tasks = _grid(config, (modality,), shifts, corpus, None)
     table = ResultsTable(rows=_execute(_task_row, tasks, config.jobs))
+    selected = _select(table.rows, attrgetter("network", "shift_frames"))
     best: dict[str, int] = {}
     for net in config.networks:
-        candidates = [r for r in table.rows if r.network == net.kind and r.status == "ok"]
-        if candidates:
-            best[net.kind] = max(candidates, key=lambda r: r.val_ccc).shift_frames
+        cells = [r for (kind, _), r in selected.items() if kind == net.kind]
+        if cells:
+            best[net.kind] = max(cells, key=attrgetter("val_ccc")).shift_frames
     return table, best
+
+
+def _select(rows: list[ResultRow], cell) -> dict:
+    """The `ok` row with the lowest validation SSE for each cell(row), the
+    first one on ties, in the order the cells first appear."""
+    selected = {}
+    for row in rows:
+        key = cell(row)
+        if row.status == "ok" and (key not in selected or row.val_sse < selected[key].val_sse):
+            selected[key] = row
+    return selected
 
 
 def run_intra_corpus(
@@ -579,29 +586,19 @@ def run_intra_corpus(
     test = (name, test_recs, shift) if test_recs else None
     tasks = _grid(config, config.modalities, [shift], corpus, test)
     table = ResultsTable(rows=_execute(_task_row, tasks, config.jobs))
+    selected = _select(table.rows, attrgetter("network", "modality"))
     improvements = {}
     for net in config.networks:
-        selected = {}
-        for modality in config.modalities:
-            cell = [
-                r
-                for r in table.rows
-                if r.network == net.kind and r.modality == modality and r.status == "ok"
-            ]
-            if cell:
-                selected[modality] = min(cell, key=lambda r: r.val_sse)
-        if "fused" in selected:
-            unimodal = [
-                selected[m].val_ccc for m in ("speech", "gaze") if m in selected
-            ]
-            if unimodal:
-                best_uni = max(unimodal)
-                fused = selected["fused"].val_ccc
-                improvements[net.kind] = {
-                    "fused_ccc": fused,
-                    "best_unimodal_ccc": best_uni,
-                    "relative_improvement": relative_improvement(fused, best_uni),
-                }
+        unimodal = [selected[net.kind, m].val_ccc for m in ("speech", "gaze")
+                    if (net.kind, m) in selected]
+        if (net.kind, "fused") in selected and unimodal:
+            best_uni = max(unimodal)
+            fused = selected[net.kind, "fused"].val_ccc
+            improvements[net.kind] = {
+                "fused_ccc": fused,
+                "best_unimodal_ccc": best_uni,
+                "relative_improvement": relative_improvement(fused, best_uni),
+            }
     return table, improvements
 
 

@@ -29,6 +29,8 @@ from .fusion import NormStats
 
 GATE_ORDER = ("input", "forget", "cell", "output")
 MODEL_FORMAT_VERSION = 1
+# Standard deviation of the Gaussian input noise added to each training presentation.
+NOISE_SIGMA = 0.1
 # Parameters per batched forward in gradient_check, two weight sets each.
 # Peak memory grows with it: 64 adds about 3 MB on the 8-6 criterion specs.
 GRADCHECK_BATCH = 64
@@ -165,15 +167,12 @@ class TrainConfig:
     seed: int
     max_epochs: int = 100
     patience_epochs: int = 20
-    noise_sigma: float = 0.1
 
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise DataError("learning rate must be positive")
         if not 0 < self.patience_epochs < self.max_epochs:
             raise DataError("need 0 < patience_epochs < max_epochs")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -434,7 +433,7 @@ def train_network(
             train_sse = 0.0
             for seq_i in order:
                 x, y = train[seq_i]
-                noisy = inject_noise(x, config.noise_sigma, rng)
+                noisy = inject_noise(x, NOISE_SIGMA, rng)
                 grads, loss = bptt_gradients(params, spec, noisy, y)
                 train_sse += loss
                 params.theta -= config.learning_rate * grads.theta
@@ -588,7 +587,7 @@ def load_model(path: str | Path) -> TrainedModel:
         raise DataError(f"model file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         raise DataError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError("model file must hold a JSON object")

@@ -151,9 +151,6 @@ class CorpusManifest:
     corpus_name: str
     recordings: tuple[RecordingEntry, ...]
 
-    def partition(self, name: str) -> list[RecordingEntry]:
-        return [r for r in self.recordings if r.partition == name]
-
 
 _RECORDING_FIELDS = (  # (name, expected, check) of the fields of a manifest recording
     ("id", "a string", lambda x: isinstance(x, str)),
@@ -177,7 +174,7 @@ def load_corpus_manifest(path: str | Path) -> CorpusManifest:
         raise DataError(f"manifest file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         raise DataError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("recordings"), list):
         raise DataError("manifest must be an object with a 'recordings' list")

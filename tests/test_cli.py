@@ -321,6 +321,30 @@ class TestExperimentsCommands:
         assert code == 1
         assert "config must be a JSON object" in capsys.readouterr().err
 
+    def test_undecodable_config_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"train_manifest": "\xff"}')
+        code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON") and "Traceback" not in err
+
+    def test_undecodable_manifest_exit_2(self, corpus_dir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"recordings": [], "corpus": "\xff"}')
+        config = write_config(tmp_path / "c.json", corpus_dir, train_manifest=str(manifest))
+        code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: manifest is not valid JSON")
+
+    @pytest.mark.parametrize("command", ["sweep", "train", "cross-eval"])
+    def test_jobs_below_1_exit_1(self, corpus_dir, tmp_path, capsys, command):
+        config = write_config(tmp_path / "c.json", corpus_dir)
+        code = run_cli([command, "--config", str(config), "--out-dir", str(tmp_path / "out"),
+                        "--jobs", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: --jobs needs N >= 1, got 0\n"
+
     def test_non_integer_shift_exit_1(self, corpus_dir, tmp_path, capsys):
         config = write_config(
             tmp_path / "c.json", corpus_dir, shift={"chosen_frames": {"arousal": "3"}}
@@ -346,6 +370,9 @@ class TestExperimentsCommands:
              "noise_sigma"),
             ({"shift": {"chosen_frames": {"arousl": 3}}}, "'shift.chosen_frames.arousl'"),
             ({"window_seconds": {"valance": 6.0}}, "'window_seconds.valance'"),
+            ({"networks": [{"kind": "lstm", "sizes": [4]}, {"kind": "lstm", "sizes": [6]}]},
+             "'networks' needs distinct kinds"),
+            ({"jobs": 0}, "'jobs' needs jobs >= 1"),
         ],
     )
     def test_grid_value_exit_1_before_data(self, corpus_dir, tmp_path, capsys, extra, message):

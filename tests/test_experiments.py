@@ -39,6 +39,7 @@ from gazeaffect.experiments import (
     save_results_csv,
     sweep_shifts,
 )
+from gazeaffect.network import NOISE_SIGMA
 from gazeaffect.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
 
 from conftest import cross_shift_conversion
@@ -92,7 +93,7 @@ class TestConfig:
         ]
         assert config.seeds == (1787452436,)
         assert config.max_epochs == 100 and config.patience_epochs == 20
-        assert config.noise_sigma == 0.1
+        assert NOISE_SIGMA == 0.1
 
     def test_partial_overrides_merge(self, tmp_path, corpus_dir):
         p = tmp_path / "config.json"
@@ -115,6 +116,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             ExperimentConfig.from_json(p)
 
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"train_manifest": "\xff"}')
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            ExperimentConfig.from_json(p)
+
     def test_missing_required_field(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text("{}")
@@ -124,7 +131,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "extra, field",
         [
-            ({"shift": 5}, "shift.anchor_frames"),
+            ({"shift": 5}, "shift"),
             ({"shift": {"stride_frames": [3]}}, "shift.stride_frames"),
             ({"networks": [{"kind": "lstm", "sizes": ["x"]}]}, "networks"),
             ({"training": {"seeds": 7}}, "training.seeds"),
@@ -172,6 +179,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{field}'"):
             ExperimentConfig.from_dict(doc, base=tmp_path)
 
+    @pytest.mark.parametrize("section, value", [("shift", 5), ("training", None), ("shift", [1])])
+    def test_section_not_an_object(self, tmp_path, corpus_dir, section, value):
+        doc = {"train_manifest": str(corpus_dir / "manifest.json"), section: value}
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig.from_dict(doc, base=tmp_path)
+        assert str(excinfo.value) == (
+            f"config field '{section}' must be a JSON object, not {type(value).__name__}"
+        )
+
+    def test_unknown_keys_reported_together(self, tmp_path, corpus_dir):
+        doc = {
+            "train_manifest": str(corpus_dir / "manifest.json"),
+            "shfit": {}, "training": {"momentum": 0.9, "max_epochs": 3, "patience_epochs": 2},
+            "shift": {"chosen_frames": {"arousl": 3}}, "gaze_columns": {"bogus": "z"},
+        }
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig.from_dict(doc, base=tmp_path)
+        assert str(excinfo.value) == (
+            "unknown config field(s) 'shfit', 'training.momentum', "
+            "'shift.chosen_frames.arousl', 'gaze_columns.bogus'"
+        )
+
     @pytest.mark.parametrize("columns", [None, {"h": "gx"}])
     def test_gaze_columns_null_or_partial(self, tmp_path, corpus_dir, columns):
         doc = {"train_manifest": str(corpus_dir / "manifest.json"), "gaze_columns": columns}
@@ -192,8 +221,9 @@ class TestConfig:
             (dict(networks=(NetworkChoice("blstm", (7,)),)), "even"),
             (dict(patience_epochs=3), "patience_epochs"),
             (dict(learning_rates=(1e-3, 0.0)), "learning rate"),
-            (dict(noise_sigma=math.nan), "noise_sigma"),
-            (dict(noise_sigma=math.inf), "noise_sigma"),
+            (dict(networks=(NetworkChoice("lstm", (4,)), NetworkChoice("lstm", (6,)))),
+             "'networks' needs distinct kinds"),
+            (dict(jobs=0), "'jobs' needs jobs >= 1"),
         ],
     )
     def test_grid_values_are_config_errors(self, corpus_dir, overrides, message):
@@ -316,6 +346,38 @@ class TestShiftSweep:
             candidates = [r for r in table.rows if r.network == kind]
             top = max(candidates, key=lambda r: r.val_ccc)
             assert shift == top.shift_frames
+
+    def test_best_shift_from_each_cells_lowest_sse_run(self, corpus_dir, monkeypatch):
+        # A runaway run (huge SSE) whose CCC rounds to 0 must not beat the
+        # cell's real runs, whose CCC is slightly negative.
+        def fake_row(task):
+            row = task.row
+            if row.learning_rate > 1:
+                row.val_sse, row.val_ccc = 1e60, 0.0
+            else:
+                row.val_sse, row.val_ccc = 10.0, -0.001 * (1 + abs(row.shift_frames - 6))
+            return row
+
+        monkeypatch.setattr(experiments, "_task_row", fake_row)
+        config = small_config(corpus_dir, networks=(NetworkChoice("lstm", (4,)),),
+                              learning_rates=(1e30, 1e-3))
+        table, best = run_shift_sweep(config, modality="speech")
+        assert [r.shift_frames for r in table.rows] == [3, 3, 6, 6, 9, 9]
+        assert best == {"lstm": 6}
+
+    def test_best_shift_keeps_the_first_row_on_ties(self, corpus_dir, monkeypatch):
+        # seed 7 wins every cell on SSE, with one CCC at every shift; seed 8's
+        # higher CCC at shift 9 is not its cell's selected run
+        def fake_row(task):
+            row = task.row
+            row.val_sse = 10.0 + row.seed
+            row.val_ccc = 0.9 if (row.seed, row.shift_frames) == (8, 9) else 0.5
+            return row
+
+        monkeypatch.setattr(experiments, "_task_row", fake_row)
+        config = small_config(corpus_dir, networks=(NetworkChoice("lstm", (4,)),), seeds=(7, 8))
+        _, best = run_shift_sweep(config, modality="speech")
+        assert best == {"lstm": 3}
 
 
 class TestIntraCorpus:
@@ -520,6 +582,30 @@ class TestGridExecution:
         pooled, pooled_summary = run(config)
         assert pooled.rows == serial.rows
         assert pooled_summary == serial_summary
+
+    def test_pool_no_larger_than_the_task_list(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # runs in this process; records the size it was asked for
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "_worker", [])
+        assert experiments._execute(abs, [-1, -2, -3], 8) == [1, 2, 3]
+        assert experiments._execute(abs, [-4], 8) == [4]
+        assert experiments._execute(abs, [], 8) == []
+        assert sizes == [3]
 
     def test_spawned_workers_match_jobs_1(self, corpus_dir, monkeypatch):
         # Workers that start from a fresh interpreter receive the task list

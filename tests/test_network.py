@@ -403,7 +403,7 @@ class TestTraining:
             train_sse = 0.0
             for i in rng.permutation(len(train)):
                 x, y = train[i]
-                noisy = inject_noise(x, config.noise_sigma, rng)
+                noisy = inject_noise(x, nw.NOISE_SIGMA, rng)
                 grads, loss = bptt_gradients(params, spec, noisy, y)
                 train_sse += loss
                 params.theta -= config.learning_rate * grads.theta
@@ -634,6 +634,14 @@ class TestPersistence:
         save_model(model, path)
         path.write_text(path.read_text()[: 100])
         with pytest.raises(DataError, match="JSON"):
+            load_model(path)
+
+    def test_undecodable_bytes(self, tmp_path):
+        model, _ = build_model_with_stats()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        path.write_bytes(path.read_bytes().replace(b'"metadata"', b'"\xffmetadata"'))
+        with pytest.raises(DataError, match="not valid JSON"):
             load_model(path)
 
     def test_version_mismatch(self, tmp_path):

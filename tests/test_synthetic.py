@@ -134,7 +134,8 @@ class TestStructure:
         path = generate_synthetic_corpus(SyntheticCorpusSpec(seed=5, frames=100), tmp_path)
         manifest = load_corpus_manifest(path)
         counts = tuple(
-            len(manifest.partition(name)) for name in ("train", "validation", "test")
+            sum(r.partition == name for r in manifest.recordings)
+            for name in ("train", "validation", "test")
         )
         assert counts == (3, 2, 2)
         assert manifest.corpus_name == "synth"

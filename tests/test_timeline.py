@@ -393,3 +393,9 @@ class TestManifest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_corpus_manifest(tmp_path / "nope.json")
+
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        p.write_bytes(b'{"recordings": [], "corpus": "\xff"}')
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_corpus_manifest(p)
