@@ -125,9 +125,13 @@ class ExperimentConfig:
             raise ConfigError("network/learning-rate/seed grids must be non-empty")
         if min(self.seeds) < 0:
             raise ConfigError(f"config field 'training.seeds' needs seeds >= 0, got {self.seeds}")
-        kinds = [net.kind for net in self.networks]
-        if len(set(kinds)) < len(kinds):  # a results row names its network by kind alone
-            raise ConfigError(f"config field 'networks' needs distinct kinds, got {kinds}")
+        kinds = [net.kind for net in self.networks]  # a results row names its network by kind
+        for name, values in (("modalities", self.modalities), ("networks", kinds),
+                             ("training.learning_rates", self.learning_rates),
+                             ("training.seeds", self.seeds)):
+            if len(set(values)) < len(values):  # a repeat would train grid points twice
+                what = "kinds" if values is kinds else "values"
+                raise ConfigError(f"config field {name!r} needs distinct {what}, got {list(values)}")
         if self.jobs < 1:
             raise ConfigError(f"config field 'jobs' needs jobs >= 1, got {self.jobs}")
         try:  # the network and training rules, checked before any data is read

@@ -13,7 +13,9 @@ of a BLSTM layer (the backward one over the reversed input), and the batches
 of perturbed parameter vectors of `gradient_check`.
 
 Gate blocks are stacked row-wise in the order (input, forget, cell, output)
-inside each weight array.
+inside each weight array, `theta` and the model file. The time loop works
+gate-major in the step order (input, forget, output, cell): every gate of every
+weight set is one contiguous block, and so are the three logistic gates.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ GRADCHECK_BATCH = 64
 GRADCHECK_STEP = 1e-5
 # Time order in which each direction of a layer reads its input.
 _DIRECTION_TIME = (slice(None), slice(None, None, -1))
+# GATE_ORDER indices of the step order, and each step gate's sign: the logistic
+# rows hold -z, so the loop's sigmoid 1 / (1 + exp(-z)) needs no negation.
+_STEP_ORDER = [0, 1, 3, 2]
+_STEP_SIGN = np.array([[-1.0], [-1.0], [-1.0], [1.0]])
+# Bytes per block of frames re-laid gate-major: bounds the temporary copy.
+_RELAYOUT_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -204,37 +212,47 @@ def _direction_forward(dw: DirectionWeights, x: np.ndarray):
     dw's arrays and x (..., N, D) share their leading axes, one weight set
     per index (x may broadcast). Returns hidden states (..., N, H) and the
     cache that BPTT reads. The buffers are time-major, (N, ..., width), so
-    each step reads and writes contiguous rows.
+    each step reads and writes contiguous rows; the gate buffer is
+    (N, 4, ..., H), gate-major in step order.
     """
     h_dim = dw.hidden
     lead = np.broadcast_shapes(x.shape[:-2], dw.b.shape[:-1])
-    # Input products for all frames; frame t's row is overwritten by its
-    # activated (input, forget, cell, output) gates once it has been read.
-    gates = np.empty(x.shape[-2:-1] + lead + (4 * h_dim,))
-    np.matmul(x, np.swapaxes(dw.w, -1, -2), out=np.moveaxis(gates, 0, -2))
-    gates += dw.b
-    cs = np.empty(gates.shape[:-1] + (h_dim,))
+    # Input products for all frames in theta's gate order, then re-laid
+    # gate-major in place, a block of frames at a time. Frame t's gate row is
+    # overwritten by its activated gates once it has been read.
+    rows = np.empty(x.shape[-2:-1] + lead + (4 * h_dim,))
+    np.matmul(x, np.swapaxes(dw.w, -1, -2), out=np.moveaxis(rows, 0, -2))
+    rows += dw.b
+    quad = rows.reshape(rows.shape[:-1] + (4, h_dim))
+    gates = rows.reshape((len(rows), 4) + lead + (h_dim,))
+    block = max(1, _RELAYOUT_BYTES // rows.strides[0])
+    for t in range(0, len(rows), block):
+        np.multiply(quad[t : t + block, ..., _STEP_ORDER, :], _STEP_SIGN,
+                    out=np.moveaxis(gates[t : t + block], 1, -2))
+    # The recurrent weights' rows likewise, so rec comes out in step order.
+    r = dw.r.reshape(dw.r.shape[:-2] + (4, h_dim * h_dim))[..., _STEP_ORDER, :] * _STEP_SIGN
+    r = r.reshape(dw.r.shape)
+    rec = np.empty(lead + (4 * h_dim, 1))
+    rec_gates = np.moveaxis(rec.reshape(lead + (4, h_dim)), -2, 0)
+    cs = np.empty(gates[:, 0].shape)
     hs = np.empty_like(cs)
     h = c = np.zeros(lead + (h_dim,))
-    rec, tmp = np.empty(lead + (4 * h_dim, 1)), np.empty_like(h)
-    cell = slice(2 * h_dim, 3 * h_dim)
+    ig = np.empty_like(h)
+    steps = zip(gates, gates[:, :3], *np.moveaxis(gates, 1, 0), cs, hs)
     # A saturated gate (z far below 0) overflows exp(-z) to inf, and
     # 1 / (1 + inf) is 0, the logistic's exact limit: nothing to warn about.
     with np.errstate(over="ignore"):
-        for t in range(len(gates)):
-            z = gates[t]
-            np.matmul(dw.r, h[..., None], out=rec)
-            z += rec[..., 0]
-            np.tanh(z[..., cell], out=tmp)
-            np.negative(z, out=z)  # logistic sigmoid 1 / (1 + exp(-z)), in place
-            np.exp(z, out=z)
-            z += 1.0
-            np.divide(1.0, z, out=z)
-            z[..., cell] = tmp
-            c = np.multiply(z[..., h_dim : 2 * h_dim], c, out=cs[t])
-            c += np.multiply(z[..., :h_dim], tmp, out=tmp)
-            h = np.tanh(c, out=hs[t])
-            h *= z[..., 3 * h_dim :]
+        for z, logistic, i, f, o, g, c_t, h_t in steps:
+            np.matmul(r, h[..., None], out=rec)
+            z += rec_gates
+            np.tanh(g, out=g)
+            np.exp(logistic, out=logistic)  # sigmoid 1 / (1 + exp(-z)), over -z
+            logistic += 1.0
+            np.divide(1.0, logistic, out=logistic)
+            c = np.multiply(f, c, out=c_t)
+            c += np.multiply(i, g, out=ig)
+            h = np.tanh(c, out=h_t)
+            h *= o
     return np.moveaxis(hs, 0, -2), (x, gates, cs, hs)
 
 
@@ -242,15 +260,15 @@ def _direction_backward(
     dw: DirectionWeights, cache, d_hs: np.ndarray, grad: DirectionWeights
 ):
     """BPTT through every direction in dw; writes the parameter gradients
-    into grad's arrays and returns the gate deltas (..., N, 4H).
+    into grad's arrays and returns the gate deltas (..., N, 4H) in theta order.
 
     Everything but the dh and dc recurrences is computed for the whole
     sequence before the time loop; the cache's buffers are overwritten.
     """
     x, gates, cs, hs = cache
     h_dim = dw.hidden
-    quad = gates.shape[:-1] + (4, h_dim)
-    i, f, g, o = np.moveaxis(gates.reshape(quad), -2, 0)
+    i, f, o, g = np.moveaxis(gates, 1, 0)
+    quad = i.shape[:-1] + (4, h_dim)
     # dz holds each frame's delta multipliers until the loop scales them into
     # gate deltas: the (i, f, g) block by dc and the o block by dh.
     dz = np.empty(quad)
@@ -270,19 +288,21 @@ def _direction_backward(
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
     d_hs = np.moveaxis(d_hs, -2, 0)
-    dh_rec = np.zeros(gates.shape[1:-1] + (1, h_dim))
+    dh_rec = np.zeros(quad[1:-2] + (1, h_dim))
     dh = dh_rec[..., 0, :]
     dc, tmp = np.zeros_like(dh), np.empty_like(dh)
     ifg = dz[..., :3, :]
-    dz_rows = dz.reshape(gates.shape[:-1] + (1, 4 * h_dim))
-    for t in range(len(gates) - 1, -1, -1):
-        np.add(d_hs[t], dh, out=dh)
-        dc += np.multiply(dh, dc_dh[t], out=tmp)
-        np.multiply(dc[..., None, :], ifg[t], out=ifg[t])
-        np.multiply(dh, m_o[t], out=m_o[t])
-        dc *= f[t]
-        np.matmul(dz_rows[t], dw.r, out=dh_rec)
-    dz_all = np.moveaxis(dz.reshape(gates.shape), 0, -2)
+    dz_rows = dz.reshape(quad[:-2] + (1, 4 * h_dim))
+    dc_col = dc[..., None, :]  # a view: it follows dc's in-place updates
+    steps = zip(d_hs[::-1], dc_dh[::-1], ifg[::-1], m_o[::-1], f[::-1], dz_rows[::-1])
+    for d_h, dc_dh_t, ifg_t, m_o_t, f_t, dz_row in steps:
+        np.add(d_h, dh, out=dh)
+        dc += np.multiply(dh, dc_dh_t, out=tmp)
+        np.multiply(dc_col, ifg_t, out=ifg_t)
+        np.multiply(dh, m_o_t, out=m_o_t)
+        dc *= f_t
+        np.matmul(dz_row, dw.r, out=dh_rec)
+    dz_all = np.moveaxis(dz.reshape(quad[:-2] + (4 * h_dim,)), 0, -2)
     dz_t = np.swapaxes(dz_all, -1, -2)
     np.matmul(dz_t, x, out=grad.w)
     np.matmul(dz_t[..., 1:], np.moveaxis(hs[:-1], 0, -2), out=grad.r)
@@ -480,7 +500,9 @@ def gradient_check(spec: NetworkSpec, seed: int, sequence_length: int = 20) -> G
     The +GRADCHECK_STEP and -GRADCHECK_STEP copies of theta for
     GRADCHECK_BATCH parameters at a time run as one batch of weight sets
     through the ordinary forward pass; no BPTT code is involved, so the check
-    stays independent of it.
+    stays independent of it. A parameter of layer l leaves the layers below l
+    unchanged, so a batch holds parameters of one layer (or of the readout)
+    and starts from that layer's unperturbed input.
 
     Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-5). The absolute
     floor sits at the noise scale of central differences with this step, so
@@ -497,16 +519,25 @@ def gradient_check(spec: NetworkSpec, seed: int, sequence_length: int = 20) -> G
     params.theta[...] = rng.normal(0.0, 0.3, size=params.theta.size)
     ga = bptt_gradients(params, spec, x, y)[0].theta
     theta = params.theta
+    inputs, edges = [x], [0]  # each layer's input, and where its parameters start
+    for dw in params.stacked:
+        inputs.append(_layer_forward(dw, inputs[-1])[0])
+        edges.append(edges[-1] + dw.w.size + dw.r.size + dw.b.size)
+    edges.append(len(theta))  # the readout's input is the top layer's output
+    copies = np.tile(theta, 2 * GRADCHECK_BATCH)  # restored to theta after each batch
     gn = np.empty_like(ga)
-    for start in range(0, len(theta), GRADCHECK_BATCH):
-        index = np.arange(start, min(start + GRADCHECK_BATCH, len(theta)))
-        rows = np.arange(len(index))
-        batch = np.tile(theta, (2, len(index), 1))  # (+step, -step) x parameter
-        batch[0, rows, index] += GRADCHECK_STEP
-        batch[1, rows, index] -= GRADCHECK_STEP
-        preds = predict(NetworkParams(spec, batch), spec, x)
-        loss = np.sum((preds - y) ** 2, axis=-1)
-        gn[index] = (loss[0] - loss[1]) / (2.0 * GRADCHECK_STEP)
+    for layer, (first, end) in enumerate(zip(edges[:-1], edges[1:])):
+        for start in range(first, end, GRADCHECK_BATCH):
+            index = np.arange(start, min(start + GRADCHECK_BATCH, end))
+            batch = copies[: 2 * len(index) * len(theta)].reshape(2, len(index), len(theta))
+            batch[:, index - start, index] += [[GRADCHECK_STEP], [-GRADCHECK_STEP]]
+            perturbed = NetworkParams(spec, batch)
+            current = inputs[layer]
+            for dw in perturbed.stacked[layer:]:
+                current = _layer_forward(dw, current)[0]
+            loss = np.sum((_readout(perturbed, current) - y) ** 2, axis=-1)
+            gn[index] = (loss[0] - loss[1]) / (2.0 * GRADCHECK_STEP)
+            batch[:, index - start, index] = theta[index]
     rel = np.abs(ga - gn) / np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-5)
     worst = int(np.argmax(rel))
     return GradientCheckReport(

@@ -373,6 +373,8 @@ class TestExperimentsCommands:
             ({"networks": [{"kind": "lstm", "sizes": [4]}, {"kind": "lstm", "sizes": [6]}]},
              "'networks' needs distinct kinds"),
             ({"jobs": 0}, "'jobs' needs jobs >= 1"),
+            ({"training": {"max_epochs": 3, "patience_epochs": 2, "seeds": [7, 7]}},
+             "'training.seeds' needs distinct values"),
         ],
     )
     def test_grid_value_exit_1_before_data(self, corpus_dir, tmp_path, capsys, extra, message):

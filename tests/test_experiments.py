@@ -224,6 +224,9 @@ class TestConfig:
             (dict(networks=(NetworkChoice("lstm", (4,)), NetworkChoice("lstm", (6,)))),
              "'networks' needs distinct kinds"),
             (dict(jobs=0), "'jobs' needs jobs >= 1"),
+            (dict(modalities=("speech", "fused", "speech")), "'modalities' needs distinct values"),
+            (dict(learning_rates=(1e-3, 0.001)), "'training.learning_rates' needs distinct values"),
+            (dict(seeds=(7, 7)), r"'training.seeds' needs distinct values, got \[7, 7\]"),
         ],
     )
     def test_grid_values_are_config_errors(self, corpus_dir, overrides, message):

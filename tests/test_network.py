@@ -187,6 +187,50 @@ class TestForward:
         for row, params in zip(preds, sets):
             assert np.array_equal(row, predict(params, spec, x))
 
+    @pytest.mark.parametrize("kind", ["lstm", "blstm"])
+    def test_relayout_block_size_changes_no_number(self, kind, monkeypatch):
+        # The input products are re-laid gate-major a block of frames at a
+        # time: one frame per block, a ragged last block and one block per
+        # sequence give the same predictions, gate deltas and gradients, for a
+        # (2, 3) batch of weight sets whose rows match their own unbatched calls.
+        spec = small_spec(kind)
+        rng = np.random.default_rng(21)
+        size = nw.NetworkParams(spec).theta.size
+        batch = nw.NetworkParams(spec, rng.normal(0.0, 0.3, size=(2, 3, size)))
+        x, y = rng.normal(size=(13, 5)), rng.normal(size=13)
+        d_out = rng.normal(size=(2, 3, 13, spec.layers[0].size))
+
+        def run():
+            grad = nw.NetworkParams(spec, np.zeros_like(batch.theta)).stacked[0]
+            out, cache = nw._layer_forward(batch.stacked[0], x)
+            dz = nw._layer_backward(batch.stacked[0], cache, d_out, grad)
+            single = nw.NetworkParams(spec, batch.theta[1, 2])
+            grads, loss = bptt_gradients(single, spec, x, y)
+            return [predict(batch, spec, x), out, dz, grad.w, grad.r, grad.b,
+                    grads.theta, loss, predict(single, spec, x)]
+
+        default = run()
+        for budget in (1, 1000, 1 << 40):
+            monkeypatch.setattr(nw, "_RELAYOUT_BYTES", budget)
+            assert all(np.array_equal(a, b) for a, b in zip(run(), default))
+        assert np.array_equal(default[0][1, 2], default[-1])
+        for j, k in np.ndindex(2, 3):
+            row = predict(nw.NetworkParams(spec, batch.theta[j, k]), spec, x)
+            assert np.array_equal(default[0][j, k], row)
+
+
+def check_with_corrupted_gradient(monkeypatch, spec, index):
+    """gradient_check against a BPTT whose gradient at `index` is off by 1."""
+    real = nw.bptt_gradients
+
+    def corrupted(params, spec, x, targets):
+        grads, loss = real(params, spec, x, targets)
+        grads.theta[index] += 1.0
+        return grads, loss
+
+    monkeypatch.setattr(nw, "bptt_gradients", corrupted)
+    return gradient_check(spec, seed=12, sequence_length=20)
+
 
 class TestGradients:
     def test_perfect_predictions_zero_gradients(self):
@@ -216,17 +260,23 @@ class TestGradients:
         assert report.max_relative_error == pytest.approx(error, rel=1e-8)
 
     def test_check_catches_corrupted_gradient(self, monkeypatch):
-        real = nw.bptt_gradients
-
-        def corrupted(params, spec, x, targets):
-            grads, loss = real(params, spec, x, targets)
-            grads.theta[100] += 1.0
-            return grads, loss
-
-        monkeypatch.setattr(nw, "bptt_gradients", corrupted)
-        report = gradient_check(small_spec("lstm"), seed=12, sequence_length=20)
+        report = check_with_corrupted_gradient(monkeypatch, small_spec("lstm"), 100)
         assert report.max_relative_error > 1e-2
         assert report.worst_index == 100
+
+    @pytest.mark.parametrize("where", ["top layer", "readout bias"])
+    @pytest.mark.parametrize("kind", ["lstm", "blstm"])
+    def test_check_catches_corruption_at_layer_bounds(self, monkeypatch, kind, where):
+        # Each batch of the check starts at its parameter's layer: corrupt the
+        # top layer's first parameter, and the readout bias, theta's last.
+        spec = small_spec(kind)
+        params = nw.NetworkParams(spec)
+        top, size = params.stacked[-1], params.theta.size
+        first_top = size - params.w_out.size - 1 - top.w.size - top.r.size - top.b.size
+        index = first_top if where == "top layer" else size - 1
+        report = check_with_corrupted_gradient(monkeypatch, spec, index)
+        assert report.max_relative_error > 1e-2
+        assert report.worst_index == index
 
     @pytest.mark.parametrize("n", [1, 2, 37])
     @pytest.mark.parametrize("sizes", [(6,), (8, 6)])
