@@ -11,7 +11,6 @@ continues.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,15 +40,9 @@ from .network import (
     train_network,
 )
 from .timeline import (
-    DIMENSIONS,
-    GAZE_COLUMNS,
-    AnnotationTrace,
-    CorpusManifest,
-    FeatureMatrix,
-    load_annotation_csv,
-    load_corpus_manifest,
-    load_feature_csv,
-    load_gaze_log_csv,
+    DIMENSIONS, GAZE_COLUMNS, AnnotationTrace, CorpusManifest, FeatureMatrix, Nullable, Required,
+    _bool, _each, _float, _int, _list, _path, _str, load_annotation_csv, load_corpus_manifest,
+    load_feature_csv, load_gaze_log_csv, read_fields, read_json,
 )
 
 MODALITIES = ("speech", "gaze", "fused")
@@ -153,98 +146,22 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError as exc:  # undecodable bytes or malformed JSON
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc, base=path.parent)
+        return cls.from_dict(read_json(path, ConfigError, "config"), base=path.parent)
 
     @classmethod
     def from_dict(cls, doc: dict, base: Path = Path(".")) -> "ExperimentConfig":
-        """Build a config from the keys present in `doc`; every absent key
-        keeps its dataclass default. Relative paths resolve against `base`,
-        and a key the schema does not name (in a per-dimension map, a key
-        other than a dimension; in gaze_columns, one other than a logical
-        gaze column) is a ConfigError."""
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
-
-        def resolve(p):
-            return (base / p).resolve()
-
-        # key -> converter, (converter, the keys its object may hold) or a section's schema
-        schema = {
-            "train_manifest": resolve,
-            "test_manifest": lambda p: resolve(p) if p else None,
-            "dimension": str,
-            "modalities": _list(str),
-            "window_seconds": (_each(float, DEFAULT_WINDOW_SECONDS), DIMENSIONS),
-            "shift": {
-                "anchor_frames": (_each(_int, DEFAULT_ANCHOR_FRAMES), DIMENSIONS),
-                "chosen_frames": (_each(_shift, DEFAULT_CHOSEN_FRAMES), DIMENSIONS),
-                "range_seconds": float,
-                "stride_frames": _int,
-                "cross_overrides": (_each(lambda v: v if v is None else _shift(v)), DIMENSIONS),
-            },
-            "networks": lambda ns: tuple(NetworkChoice(n["kind"], tuple(map(_int, n["sizes"])))
-                                         for n in ns),
-            "training": {
-                "learning_rates": _list(float),
-                "seeds": _list(_int),
-                "max_epochs": _int,
-                "patience_epochs": _int,
-            },
-            "gaze_columns": (lambda c: c if c is None else _each(_str)(c), GAZE_COLUMNS),
-            "out_dir": resolve,
-            "jobs": _int,
-            "cross_both_directions": _bool,
-        }
-        unknown: list[str] = []
-        fields = {"out_dir": resolve("."), **_read(doc, schema, unknown)}
-        if unknown:
-            raise ConfigError("unknown config field(s) " + ", ".join(map(repr, unknown)))
-        if "train_manifest" not in fields:
-            raise ConfigError("config missing required field 'train_manifest'")
+        """Build a config from the keys present in `doc`, read by CONFIG_SCHEMA;
+        every absent key keeps its dataclass default. Relative paths resolve
+        against `base`, and a key the schema does not name is a ConfigError."""
+        fields = {"out_dir": ".", **read_fields(doc, CONFIG_SCHEMA, ConfigError, "config")}
+        for key in ("train_manifest", "test_manifest", "out_dir"):
+            if fields.get(key) is not None:
+                fields[key] = (base / fields[key]).resolve()
+        if "networks" in fields:
+            fields["networks"] = tuple(NetworkChoice(n["kind"], n["sizes"])
+                                       for n in fields["networks"])
         fields.update(fields.pop("training", {}))
         return cls(shift=ShiftSettings(**fields.pop("shift", {})), **fields)
-
-
-def _read(doc: dict, schema: dict, unknown: list[str], path: str = "") -> dict:
-    """Each key of `doc` converted by its rule in `schema`, and each section
-    read by its own schema; appends the dotted path of every key no rule
-    names to `unknown`. A malformed value raises ConfigError naming its path."""
-    fields = {}
-    for key, value in doc.items():
-        rule, where = schema.get(key), f"{path}{key}"
-        if rule is None:
-            unknown.append(where)
-            continue
-        if isinstance(rule, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config field {where!r} must be a JSON object, "
-                                  f"not {type(value).__name__}")
-            fields[key] = _read(value, rule, unknown, where + ".")
-            continue
-        if isinstance(rule, tuple):
-            rule, keys = rule
-            if isinstance(value, dict):
-                unknown += [f"{where}.{k}" for k in value if k not in keys]
-        try:
-            fields[key] = rule(value)
-        except KeyError as exc:
-            raise ConfigError(f"config field {where!r} has no {exc} entry") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config field {where!r} is invalid: {exc}") from exc
-    return fields
-
-
-def _int(value) -> int:
-    """A JSON integer; bools and floats such as 2.9 or 3.0 raise TypeError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
 
 
 def _shift(value) -> int:
@@ -254,32 +171,32 @@ def _shift(value) -> int:
     return value
 
 
-def _str(value) -> str:
-    """A JSON string; numbers, lists and null raise TypeError."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _bool(value) -> bool:
-    """A JSON boolean; strings such as "false" raise TypeError."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _each(convert, defaults=None):
-    """convert applied to every value of a JSON object, merged over defaults."""
-    return lambda section: {**(defaults or {}), **{k: convert(v) for k, v in section.items()}}
-
-
-def _list(convert):
-    """convert applied to every item of a JSON list; a string or number is not a list."""
-    def convert_all(items) -> tuple:
-        if not isinstance(items, (list, tuple)):
-            raise TypeError(f"expected a list, got {items!r}")
-        return tuple(map(convert, items))
-    return convert_all
+# Each key of a config file and its rule (see timeline.read_fields).
+CONFIG_SCHEMA = {
+    "train_manifest": Required(_path),
+    "test_manifest": Nullable(_path),
+    "dimension": _str,
+    "modalities": _list(_str),
+    "window_seconds": (_each(_float, DEFAULT_WINDOW_SECONDS), DIMENSIONS),
+    "shift": {
+        "anchor_frames": (_each(_int, DEFAULT_ANCHOR_FRAMES), DIMENSIONS),
+        "chosen_frames": (_each(_shift, DEFAULT_CHOSEN_FRAMES), DIMENSIONS),
+        "range_seconds": _float,
+        "stride_frames": _int,
+        "cross_overrides": (_each(lambda v: v if v is None else _shift(v)), DIMENSIONS),
+    },
+    "networks": [{"kind": Required(_str), "sizes": Required(_list(_int))}],
+    "training": {
+        "learning_rates": _list(_float),
+        "seeds": _list(_int),
+        "max_epochs": _int,
+        "patience_epochs": _int,
+    },
+    "gaze_columns": Nullable((_each(_str), GAZE_COLUMNS)),
+    "out_dir": _path,
+    "jobs": _int,
+    "cross_both_directions": _bool,
+}
 
 
 # A results row's grid point, in report and sort order.

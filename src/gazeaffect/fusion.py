@@ -67,16 +67,6 @@ class NormStats:
             "target_std": self.target_std,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NormStats":
-        return cls(
-            feature_names=tuple(doc["feature_names"]),
-            feature_means=np.array(doc["feature_means"], dtype=float),
-            feature_stds=np.array(doc["feature_stds"], dtype=float),
-            target_mean=float(doc["target_mean"]),
-            target_std=float(doc["target_std"]),
-        )
-
 
 def _guard_std(std: np.ndarray | float):
     return np.where(np.asarray(std) < _STD_FLOOR, 1.0, std)

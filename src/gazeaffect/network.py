@@ -22,12 +22,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, DivergenceError
 from .fusion import NormStats
+from .timeline import (
+    Nullable, Required, _float, _int, _list, _object, _one_of, _positive, _str, read_fields,
+    read_json,
+)
 
 GATE_ORDER = ("input", "forget", "cell", "output")
 MODEL_FORMAT_VERSION = 1
@@ -86,15 +91,6 @@ class NetworkSpec:
             "output_dim": 1,
             "layers": [{"kind": l.kind, "size": l.size} for l in self.layers],
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NetworkSpec":
-        if doc.get("output_dim", 1) != 1:
-            raise DataError("only single-task (output_dim 1) networks are supported")
-        return cls(
-            layers=tuple(LayerSpec(l["kind"], int(l["size"])) for l in doc["layers"]),
-            input_dim=int(doc["input_dim"]),
-        )
 
 
 @dataclass
@@ -562,13 +558,11 @@ def _named_views(params: NetworkParams):
                     yield f"layer{li}{suffix}", f"{prefix}_{gate}", arr[gi * h : (gi + 1) * h]
 
 
-def _fill(view: np.ndarray, values, name: str) -> None:
+def _fill(view: np.ndarray, values) -> None:
     """Write a flat list of numbers into a parameter view, checking its length."""
-    flat = np.asarray(values, dtype=float)
-    if flat.shape != (view.size,) or not np.isfinite(flat).all():
-        raise DataError(
-            f"model weights {name}: expected {view.size} finite numbers, got shape {flat.shape}"
-        )
+    flat = np.array(_list(_float)(values))
+    if flat.shape != (view.size,):
+        raise ValueError(f"expected {view.size} numbers, got {len(flat)}")
     view[...] = flat.reshape(view.shape)
 
 
@@ -591,59 +585,58 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def _params_from_dict(spec: NetworkSpec, weights: dict) -> NetworkParams:
-    params = NetworkParams(spec)
+def _weights_schema(params: NetworkParams) -> dict:
+    """The schema of a model file's `weights` key: each rule fills its view of params."""
+    schema: dict = {}
     for entry, key, view in _named_views(params):
-        _fill(view, weights[entry][key], f"{entry}.{key}")
-    readout = weights["readout"]
-    _fill(params.w_out, readout["w"], "readout.w")
-    _fill(params.theta[-1:], [readout["b"]], "readout.b")
-    return params
+        schema.setdefault(entry, {})[key] = Required(partial(_fill, view))
+    schema["readout"] = {
+        "w": Required(partial(_fill, params.w_out)),
+        "b": Required(lambda b: _fill(params.theta[-1:], [b])),
+    }
+    return {"weights": Required({entry: Required(section) for entry, section in schema.items()})}
 
 
-_MODEL_FIELDS = (  # (name, default, expected, check) of the plain model-file fields
-    ("dimension", None, "a string or null", lambda x: x is None or isinstance(x, str)),
-    ("shift_used", None, "an integer or null", lambda x: x is None or type(x) is int),
-    ("history", [], "a list of [train, val] number pairs", lambda x: isinstance(x, list) and all(
-        isinstance(p, list) and len(p) == 2 and {type(e) for e in p} <= {int, float} for p in x)),
-    ("metadata", {}, "an object", lambda x: isinstance(x, dict)),
-)
+# Each key of a model file and its rule (see timeline.read_fields); `weights`
+# is read by the schema its spec gives (_weights_schema).
+MODEL_SCHEMA = {
+    "version": Required(_one_of(MODEL_FORMAT_VERSION)),
+    "spec": Required({
+        "input_dim": Required(_int),
+        "output_dim": _one_of(1),  # single-task networks only
+        "layers": Required([{"kind": Required(_str), "size": Required(_int)}]),
+    }),
+    "norm_stats": Nullable({
+        "feature_names": Required(_list(_str)),
+        "feature_means": Required(_list(_float)),
+        "feature_stds": Required(_list(_positive)),
+        "target_mean": Required(_float),
+        "target_std": Required(_positive),
+    }),
+    "dimension": Nullable(_str),
+    "shift_used": Nullable(_int),
+    "weights": Required(_object),
+    "history": _list(_list(_float, 2)),  # [train, val] SSE pairs
+    "metadata": _object,
+}
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """Load a model JSON; rejects truncated files, version mismatches and
-    weights that do not match the spec."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise DataError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError("model file must hold a JSON object")
-    version = doc.get("version")
-    if version != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"model format version mismatch: file has {version!r}, "
-            f"expected {MODEL_FORMAT_VERSION}"
-        )
-    try:
-        spec = NetworkSpec.from_dict(doc["spec"])
-        params = _params_from_dict(spec, doc["weights"])
-    except KeyError as exc:
-        raise DataError(f"model file has no {exc.args[0]!r} entry") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataError(f"model spec or weights are malformed: {exc}") from exc
+    """Load a model JSON; rejects truncated files, version mismatches, unknown
+    keys, and weights or normalization stats that do not match the spec."""
+    doc = read_fields(read_json(Path(path), DataError, "model"), MODEL_SCHEMA, DataError, "model")
+    layout = doc.pop("spec")
+    spec = NetworkSpec(tuple(LayerSpec(**l) for l in layout["layers"]), layout["input_dim"])
+    params = NetworkParams(spec)
+    read_fields({"weights": doc.pop("weights")}, _weights_schema(params), DataError, "model")
     stats = doc.get("norm_stats")
-    try:
-        norm_stats = NormStats.from_dict(stats) if stats else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"model field 'norm_stats' is malformed: {exc!r}") from exc
-    fields = {}
-    for name, default, expected, ok in _MODEL_FIELDS:
-        fields[name] = doc.get(name, default)
-        if not ok(fields[name]):
-            raise DataError(f"model field {name!r} must be {expected}, got {fields[name]!r:.80}")
-    fields["history"] = [tuple(pair) for pair in fields["history"]]
-    return TrainedModel(spec=spec, params=params, norm_stats=norm_stats, **fields)
+    if stats is not None:
+        for key in ("feature_names", "feature_means", "feature_stds"):
+            if len(stats[key]) != spec.input_dim:
+                raise DataError(f"model field 'norm_stats.{key}' holds {len(stats[key])} "
+                                f"items, not spec.input_dim {spec.input_dim}")
+        doc["norm_stats"] = NormStats(stats["feature_names"], np.array(stats["feature_means"]),
+                                      np.array(stats["feature_stds"]), stats["target_mean"],
+                                      stats["target_std"])
+    del doc["version"]
+    return TrainedModel(spec=spec, params=params, history=list(doc.pop("history", [])), **doc)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,66 +151,166 @@ class CorpusManifest:
     recordings: tuple[RecordingEntry, ...]
 
 
-_RECORDING_FIELDS = (  # (name, expected, check) of the fields of a manifest recording
-    ("id", "a string", lambda x: isinstance(x, str)),
-    ("partition", f"one of {PARTITIONS}", lambda x: x in PARTITIONS),
-    ("fps", "a positive finite number",
-     lambda x: type(x) in (int, float) and 0 < x <= sys.float_info.max),
-    ("speech", "a path string", lambda x: isinstance(x, str) and "\0" not in x),
-    ("gaze", "a path string", lambda x: isinstance(x, str) and "\0" not in x),
-    ("annotations", "an object mapping dimensions to path strings", lambda x: isinstance(x, dict)
-     and all(d in DIMENSIONS and isinstance(p, str) and "\0" not in p for d, p in x.items())),
-)
+def read_json(path: Path, error: type, what: str):
+    """The JSON document in the UTF-8 file at `path`; a missing file or one
+    that is not valid JSON raises `error`."""
+    if not path.is_file():
+        raise error(f"{what} file not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deeply nested
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class Required:  # a schema rule whose key every document must hold
+    rule: object
+
+
+@dataclass(frozen=True)
+class Nullable:  # a schema rule that also reads null, as None
+    rule: object
+
+
+def read_fields(doc, schema: dict, error: type, what: str):
+    """`doc` read by `schema`, which maps each key to its rule: a converter
+    (raising TypeError or ValueError on a bad value); (converter, keys) for an
+    object whose keys must be among `keys`, converted whole; a schema dict for
+    an object read by it (a section); [schema dict] for a list of sections;
+    Required(rule) or Nullable(rule). An absent key is absent from the result.
+    A malformed value raises `error` naming its dotted path (as in
+    `recordings.0.fps`); so do the keys that no rule names, all at once."""
+    unknown: list[str] = []
+    fields = _walk(doc, schema, error, what, "", unknown)
+    if unknown:
+        raise error(f"unknown {what} field(s) " + ", ".join(map(repr, unknown)))
+    return fields
+
+
+def _walk(value, rule, error: type, what: str, where: str, unknown: list[str]):
+    named = f"{what} field {where!r}" if where else what
+    rule = rule.rule if isinstance(rule, Required) else rule  # its section checks its absence
+    if isinstance(rule, Nullable):
+        if value is None:
+            return None
+        rule = rule.rule
+    if isinstance(rule, list):
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{named} must be a JSON list, not {type(value).__name__}")
+        return [_walk(item, rule[0], error, what, f"{where}.{i}", unknown)
+                for i, item in enumerate(value)]
+    if isinstance(rule, (dict, tuple)) and not isinstance(value, dict):
+        raise error(f"{named} must be a JSON object, not {type(value).__name__}")
+    prefix = f"{where}." if where else ""
+    if isinstance(rule, dict):
+        for key, r in rule.items():
+            if isinstance(r, Required) and key not in value:
+                raise error(f"{named} missing required field {key!r}")
+        unknown += [prefix + k for k in value if k not in rule]
+        return {k: _walk(v, rule[k], error, what, prefix + k, unknown)
+                for k, v in value.items() if k in rule}
+    if isinstance(rule, tuple):
+        rule, keys = rule
+        unknown += [prefix + k for k in value if k not in keys]
+    try:
+        return rule(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{named} is invalid: {exc}") from exc
+
+
+def _typed(expected: str, *types):
+    """A converter that accepts only values of exactly `types`: true is not 1, nor 3.0 an int."""
+    def check(value):
+        if type(value) not in types:
+            raise TypeError(f"expected {expected}, got {value!r:.80}")
+        return value
+    return check
+
+
+_int = _typed("an integer", int)
+_str = _typed("a string", str)
+_bool = _typed("true or false", bool)
+_object = _typed("a JSON object", dict)
+_number = _typed("a number", int, float)
+
+
+def _float(value) -> float:
+    if not math.isfinite(_number(value)):  # a huge int raises OverflowError
+        raise ValueError(f"expected a finite number, got {value!r:.80}")
+    return float(value)
+
+
+def _positive(value) -> float:
+    if not _float(value) > 0:
+        raise ValueError(f"expected a positive number, got {value!r:.80}")
+    return float(value)
+
+
+def _path(value) -> str:
+    if "\0" in _str(value):
+        raise ValueError(f"a path cannot hold NUL, got {value!r:.80}")
+    return value
+
+
+def _one_of(*options):
+    """A converter that accepts only `options`, each as its own type (1.0 and true are not 1)."""
+    def check(value):
+        if (type(value), value) not in [(type(o), o) for o in options]:
+            raise ValueError(f"expected {' or '.join(map(repr, options))}, got {value!r:.80}")
+        return value
+    return check
+
+
+def _each(convert, defaults=None):
+    """convert applied to every value of a JSON object, merged over defaults."""
+    return lambda section: {**(defaults or {}), **{k: convert(v) for k, v in section.items()}}
+
+
+def _list(convert, length=None):
+    """convert applied to every item of a JSON list (of `length` items, if
+    given); a string or number is not a list."""
+    def convert_all(items) -> tuple:
+        if not isinstance(items, (list, tuple)) or length not in (None, len(items)):
+            size = f" of {length}" if length else ""
+            raise TypeError(f"expected a list{size}, got {items!r:.80}")
+        return tuple(map(convert, items))
+    return convert_all
+
+
+MANIFEST_SCHEMA = {
+    "corpus": _str,  # the corpus name; the manifest's file stem when absent
+    "recordings": Required([{
+        "id": Required(_str),
+        "partition": Required(_one_of(*PARTITIONS)),
+        "fps": Required(_positive),
+        "speech": Required(_path),
+        "gaze": Required(_path),
+        "annotations": Required((_each(_path), DIMENSIONS)),
+    }]),
+}
 
 
 def load_corpus_manifest(path: str | Path) -> CorpusManifest:
-    """Load and validate a corpus manifest JSON file.
-
-    Relative data paths are resolved against the manifest's directory.
-    """
+    """Load and validate a corpus manifest JSON file; relative data paths
+    resolve against the manifest's directory."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"manifest file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise DataError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("recordings"), list):
-        raise DataError("manifest must be an object with a 'recordings' list")
-    base = path.parent
+    doc = read_fields(read_json(path, DataError, "manifest"), MANIFEST_SCHEMA, DataError,
+                      "manifest")
     entries = []
     seen_ids: set[str] = set()
-    for i, rec in enumerate(doc["recordings"]):
-        if not isinstance(rec, dict):
-            raise DataError(f"recording #{i} must be an object, got {rec!r:.80}")
-        for name, expected, ok in _RECORDING_FIELDS:
-            if name not in rec:
-                raise DataError(f"recording #{i} missing field {name!r}")
-            if not ok(rec[name]):
-                raise DataError(
-                    f"recording #{i}: field {name!r} must be {expected}, got {rec[name]!r:.80}"
-                )
+    for rec in doc["recordings"]:
         rid = rec["id"]
         if rid in seen_ids:
             raise DataError(f"duplicate recording id {rid!r}")
         seen_ids.add(rid)
-        ann_paths = {dim: (base / p).resolve() for dim, p in rec["annotations"].items()}
-        entry = RecordingEntry(
-            id=rid,
-            partition=rec["partition"],
-            fps=FrameRate(float(rec["fps"])),
-            speech_path=(base / rec["speech"]).resolve(),
-            gaze_path=(base / rec["gaze"]).resolve(),
-            annotation_paths=ann_paths,
-        )
-        for p in (entry.speech_path, entry.gaze_path, *ann_paths.values()):
+        paths = {k: (path.parent / p).resolve() for k, p in
+                 [("speech", rec["speech"]), ("gaze", rec["gaze"]), *rec["annotations"].items()]}
+        for p in paths.values():
             if not p.is_file():
                 raise DataError(f"recording {rid!r}: data file not found: {p}")
-        entries.append(entry)
-    return CorpusManifest(
-        corpus_name=str(doc.get("corpus", path.stem)),
-        recordings=tuple(entries),
-    )
+        entries.append(RecordingEntry(rid, rec["partition"], FrameRate(rec["fps"]),
+                                      paths.pop("speech"), paths.pop("gaze"), paths))
+    return CorpusManifest(corpus_name=doc.get("corpus", path.stem), recordings=tuple(entries))
 
 
 def _read_numeric_csv(path: Path, usecols=None) -> tuple[list[str], np.ndarray]:

@@ -464,27 +464,42 @@ class TestExperimentsCommands:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc.update(recordings=5), "'recordings' list"),
-            (lambda doc: doc["recordings"][0].update(fps="abc"), "recording #0: field 'fps'"),
-            (lambda doc: doc["recordings"][0].update(fps=None), "recording #0: field 'fps'"),
-            (lambda doc: doc["recordings"][0].update(fps=True), "recording #0: field 'fps'"),
-            (lambda doc: doc["recordings"][1].update(fps=10**400), "recording #1: field 'fps'"),
+            (lambda doc: doc.update(recordings=5), "'recordings' must be a JSON list"),
+            (lambda doc: doc["recordings"][0].update(fps="abc"), "'recordings.0.fps'"),
+            (lambda doc: doc["recordings"][0].update(fps=None), "'recordings.0.fps'"),
+            (lambda doc: doc["recordings"][0].update(fps=True), "'recordings.0.fps'"),
+            (lambda doc: doc["recordings"][1].update(fps=10**400), "'recordings.1.fps'"),
             (lambda doc: doc["recordings"][0].update(annotations=["x"]),
-             "recording #0: field 'annotations'"),
+             "'recordings.0.annotations'"),
             (lambda doc: doc["recordings"][0].update(annotations={"arousal": 5}),
-             "recording #0: field 'annotations'"),
-            (lambda doc: doc["recordings"][0].update(id=[1]), "recording #0: field 'id'"),
-            (lambda doc: doc["recordings"][2].update(speech=5), "recording #2: field 'speech'"),
-            (lambda doc: doc["recordings"][0].update(gaze=None), "recording #0: field 'gaze'"),
-            (lambda doc: doc["recordings"][0].update(gaze="a\0b.csv"), "recording #0: field 'gaze'"),
+             "'recordings.0.annotations'"),
+            (lambda doc: doc["recordings"][0].update(id=[1]), "'recordings.0.id'"),
+            (lambda doc: doc["recordings"][2].update(speech=5), "'recordings.2.speech'"),
+            (lambda doc: doc["recordings"][0].update(gaze=None), "'recordings.0.gaze'"),
+            (lambda doc: doc["recordings"][0].update(gaze="a\0b.csv"), "'recordings.0.gaze'"),
             (lambda doc: doc["recordings"][3]["annotations"].update(arousal="a\0b.csv"),
-             "recording #3: field 'annotations'"),
+             "'recordings.3.annotations'"),
             (lambda doc: doc["recordings"].__setitem__(
-                0, "id partition fps speech gaze annotations"), "recording #0 must be an object"),
+                0, "id partition fps speech gaze annotations"), "'recordings.0' must be a JSON object"),
+            (lambda doc: doc.update(corpus=None),
+             "manifest field 'corpus' is invalid: expected a string, got None"),
+            (lambda doc: doc.update(corpus=["x"]), "'corpus' is invalid: expected a string"),
+            (lambda doc: doc.update(corpsu="x"), "unknown manifest field(s) 'corpsu'"),
+            (lambda doc: doc["recordings"][0].update(fsp=30),
+             "unknown manifest field(s) 'recordings.0.fsp'"),
+            (lambda doc: doc["recordings"][1]["annotations"].update(arousl="a.csv"),
+             "unknown manifest field(s) 'recordings.1.annotations.arousl'"),
+            (lambda doc: doc["recordings"][0].update(partition="tran"),
+             "'recordings.0.partition' is invalid"),
+            (lambda doc: doc["recordings"][0].pop("fps"),
+             "manifest field 'recordings.0' missing required field 'fps'"),
+            (lambda doc: doc["recordings"][0].update(annotations=None),
+             "'recordings.0.annotations' must be a JSON object, not NoneType"),
         ],
         ids=["recordings", "fps-str", "fps-null", "fps-bool", "fps-huge", "annotations-list",
              "annotation-path", "id", "speech", "gaze", "gaze-nul", "annotation-nul",
-             "recording-str"],
+             "recording-str", "corpus-null", "corpus-list", "unknown-key", "unknown-recording-key",
+             "unknown-dimension", "partition", "fps-missing", "annotations-null"],
     )
     def test_malformed_manifest_exit_2(self, corpus_dir, tmp_path, capsys, edit, message):
         doc = json.loads((corpus_dir / "manifest.json").read_text())
@@ -501,7 +516,7 @@ class TestExperimentsCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "Traceback" not in err
-        assert message in err
+        assert message in err and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestReport:

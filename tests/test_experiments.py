@@ -122,6 +122,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             ExperimentConfig.from_json(p)
 
+    def test_too_deeply_nested(self, tmp_path):
+        # valid JSON that the parser cannot hold on its stack
+        p = tmp_path / "deep.json"
+        p.write_text('{"train_manifest": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ConfigError, match="config is not valid JSON: maximum recursion"):
+            ExperimentConfig.from_json(p)
+
     def test_missing_required_field(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text("{}")
@@ -133,7 +140,8 @@ class TestConfig:
         [
             ({"shift": 5}, "shift"),
             ({"shift": {"stride_frames": [3]}}, "shift.stride_frames"),
-            ({"networks": [{"kind": "lstm", "sizes": ["x"]}]}, "networks"),
+            pytest.param({"networks": [{"kind": "lstm", "sizes": ["x"]}]}, "networks.0.sizes",
+                         id="extra2-networks"),
             ({"training": {"seeds": 7}}, "training.seeds"),
             ({"window_seconds": {"arousal": "long"}}, "window_seconds"),
             ({"jobs": None}, "jobs"),
@@ -144,7 +152,8 @@ class TestConfig:
             ({"training": {"seeds": [1.5]}}, "training.seeds"),
             ({"jobs": True}, "jobs"),
             ({"shift": {"stride_frames": 3.5}}, "shift.stride_frames"),
-            ({"networks": [{"kind": "lstm", "sizes": [8.0]}]}, "networks"),
+            pytest.param({"networks": [{"kind": "lstm", "sizes": [8.0]}]}, "networks.0.sizes",
+                         id="extra13-networks"),
             ({"shift": {"anchor_frames": {"arousal": 2.5}}}, "shift.anchor_frames"),
             ({"shift": {"chosen_frames": {"arousal": "3"}}}, "shift.chosen_frames"),
             ({"shift": {"cross_overrides": {"arousal": False}}}, "shift.cross_overrides"),
@@ -162,7 +171,7 @@ class TestConfig:
             ({"max_epochs": 2}, "max_epochs"),
             ({"shfit": {"stride_frames": 3}}, "shfit"),
             ({"training": {"momentum": 0.9}}, "training.momentum"),
-            ({"networks": [{"sizes": [8]}]}, "networks"),
+            pytest.param({"networks": [{"sizes": [8]}]}, "networks.0", id="extra31-networks"),
             ({"shift": {"chosen_frames": {"arousl": 3}}}, "shift.chosen_frames.arousl"),
             ({"shift": {"anchor_frames": {"Arousal": 3}}}, "shift.anchor_frames.Arousal"),
             ({"shift": {"cross_overrides": {"valance": None}}}, "shift.cross_overrides.valance"),
@@ -172,6 +181,15 @@ class TestConfig:
             ({"training": {"seeds": [1, -1]}}, "training.seeds"),
             ({"gaze_columns": {"h": ["x"]}}, "gaze_columns"),
             ({"gaze_columns": {"h": "h", "bogus": "z"}}, "gaze_columns.bogus"),
+            ({"window_seconds": {"arousal": 10**400}}, "window_seconds"),
+            ({"training": {"learning_rates": [10**400]}}, "training.learning_rates"),
+            ({"shift": {"range_seconds": True}}, "shift.range_seconds"),
+            ({"window_seconds": {"arousal": "4"}}, "window_seconds"),
+            ({"training": {"learning_rates": [False]}}, "training.learning_rates"),
+            ({"test_manifest": False}, "test_manifest"),
+            ({"networks": [{"kind": "lstm", "sizes": [4], "dropout": 0.5}]},
+             "networks.0.dropout"),
+            ({"networks": [{"kind": 4, "sizes": [4]}]}, "networks.0.kind"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):

@@ -177,12 +177,18 @@ class TestNormStats:
         assert np.array_equal(stats_before.feature_means, stats_after.feature_means)
         assert np.array_equal(stats_before.feature_stds, stats_after.feature_stds)
 
-    def test_round_trip_dict(self):
+    def test_round_trip_dict(self, tmp_path):
+        # to_dict is read back through the model file, the one place stats are stored
+        from gazeaffect.network import (
+            LayerSpec, NetworkSpec, TrainedModel, init_network, load_model, save_model,
+        )
+
         stats = fit_norm_stats(
             [matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))], [trace([0.1, 0.3])]
         )
-        from gazeaffect.fusion import NormStats
-
-        back = NormStats.from_dict(stats.to_dict())
+        spec = NetworkSpec((LayerSpec("lstm", 2),), input_dim=2)
+        save_model(TrainedModel(spec, init_network(spec, 0), stats), tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json").norm_stats
+        assert back.to_dict() == stats.to_dict()
         assert back.feature_names == stats.feature_names
         assert back.target_mean == stats.target_mean

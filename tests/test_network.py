@@ -637,11 +637,30 @@ class TestPersistence:
             ("shift_used", 69.0),
             ("shift_used", "69"),
             ("shift_used", True),
+            ("norm_stats.feature_means", [0.0, 0.0]),
+            ("norm_stats.feature_stds", [1.0] * 5),
+            ("norm_stats.feature_names", ["f0"]),
+            ("norm_stats.target_std", "2"),
+            ("norm_stats.target_mean", True),
+            ("norm_stats.feature_means", [0.0, True, 0.0, 0.0]),
+            ("norm_stats.feature_stds", ["1", 1.0, 1.0, 1.0]),
+            ("spec.layers.0.size", 4.9),
+            ("spec.output_dim", 1.0),
+            ("spec.input_dim", True),
+            ("spec.dropout", 0.5),
+            ("norm_stats.feature_mean", [0.0]),
+            ("weights.readout.bias", 0.0),
+            ("checksum", "abc"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, field, value):
+        # a dotted field sets a nested value: "spec.layers.0.size"
         path, doc = saved_doc(tmp_path)
-        doc[field] = value
+        *parents, key = field.split(".")
+        section = doc
+        for name in parents:
+            section = section[int(name) if name.isdigit() else name]
+        section[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=f"'{field}'"):
             load_model(path)
@@ -692,6 +711,12 @@ class TestPersistence:
         save_model(model, path)
         path.write_bytes(path.read_bytes().replace(b'"metadata"', b'"\xffmetadata"'))
         with pytest.raises(DataError, match="not valid JSON"):
+            load_model(path)
+
+    def test_too_deeply_nested(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        path.write_text(json.dumps(doc)[:-1] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(DataError, match="model is not valid JSON"):
             load_model(path)
 
     def test_version_mismatch(self, tmp_path):

@@ -373,6 +373,13 @@ class TestManifest:
             "train", "validation", "test"
         }
 
+    def test_corpus_name_defaults_to_file_stem(self, tmp_path):
+        doc = _manifest_doc(tmp_path)
+        del doc["corpus"]
+        p = tmp_path / "recola.json"
+        p.write_text(json.dumps(doc))
+        assert load_corpus_manifest(p).corpus_name == "recola"
+
     def test_duplicate_id(self, tmp_path):
         doc = _manifest_doc(tmp_path)
         doc["recordings"][1]["id"] = "P16"
