@@ -41,6 +41,10 @@ from .timeline import (
     save_feature_csv,
 )
 
+# Each control character as its Python escape (a newline as \n), so that an
+# error message holding one, say in a path, still prints on one line.
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(32), *range(127, 160))}
+
 
 @contextmanager
 def _flag_values():
@@ -172,7 +176,10 @@ def _load_config(config_path: str | None, out_dir: str | None, jobs: int | None)
         if jobs < 1:
             raise ConfigError(f"--jobs needs N >= 1, got {jobs}")
         config.jobs = jobs
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {config.out_dir}: {exc}") from exc
     return config
 
 
@@ -260,13 +267,13 @@ def main(argv=None) -> None:
     except click.exceptions.Abort:
         sys.exit(1)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        click.echo(f"config error: {str(exc).translate(_ESCAPES)}", err=True)
         sys.exit(1)
     except DivergenceError as exc:
-        click.echo(f"training diverged: {exc}", err=True)
+        click.echo(f"training diverged: {str(exc).translate(_ESCAPES)}", err=True)
         sys.exit(3)
     except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
+        click.echo(f"data error: {str(exc).translate(_ESCAPES)}", err=True)
         sys.exit(2)
     sys.exit(0)
 

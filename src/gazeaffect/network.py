@@ -111,10 +111,10 @@ class NetworkParams:
     """All trainable parameters as one flat float64 vector `theta`.
 
     `theta` holds w, r and b of each layer and direction in turn, then the
-    readout weights `w_out` and the readout bias `b_out`. `layers[l][k]` is
-    direction k of layer l; `stacked[l]` holds all directions of layer l along
-    an extra axis before the gate axis. Every one of them is a view into
-    `theta`, so writing to a view writes to `theta`. A `theta` of shape
+    readout weights `w_out` and the readout bias `b_out`. `stacked[l]` holds
+    all directions of layer l along an extra axis before the gate axis (one
+    for LSTM; forward then backward for BLSTM). Every one of them is a view
+    into `theta`, so writing to a view writes to `theta`. A `theta` of shape
     (..., P) is a batch of weight sets, and every view carries those axes.
     """
 
@@ -144,13 +144,6 @@ class NetworkParams:
                 )
             )
             offset += n_dir * size
-        self.layers = [
-            [
-                DirectionWeights(s.w[..., k, :, :], s.r[..., k, :, :], s.b[..., k, :])
-                for k in range(s.b.shape[-2])
-            ]
-            for s in self.stacked
-        ]
         self.w_out = self.theta[..., offset:-1]
 
     @property
@@ -194,10 +187,10 @@ def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     """Deterministic init: weights uniform in [-0.1, 0.1], biases zero."""
     rng = np.random.default_rng(seed)
     params = NetworkParams(spec)
-    for layer in params.layers:
-        for d in layer:
-            d.w[...] = rng.uniform(-0.1, 0.1, size=d.w.shape)
-            d.r[...] = rng.uniform(-0.1, 0.1, size=d.r.shape)
+    for dw in params.stacked:
+        for w, r in zip(dw.w, dw.r):  # one direction at a time
+            w[...] = rng.uniform(-0.1, 0.1, size=w.shape)
+            r[...] = rng.uniform(-0.1, 0.1, size=r.shape)
     params.w_out[...] = rng.uniform(-0.1, 0.1, size=params.w_out.shape)
     return params
 
@@ -396,15 +389,9 @@ def bptt_gradients(
     return grads, loss
 
 
-def inject_noise(
-    x: np.ndarray, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Fresh i.i.d. zero-mean Gaussian noise per element; sigma 0 is identity."""
-    if sigma < 0:
-        raise DataError("noise sigma must be >= 0")
-    if sigma == 0:
-        return x
-    return x + rng.normal(0.0, sigma, size=x.shape)
+def inject_noise(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """x plus fresh i.i.d. zero-mean Gaussian noise of std NOISE_SIGMA per element."""
+    return x + rng.normal(0.0, NOISE_SIGMA, size=x.shape)
 
 
 def evaluate_sse(
@@ -449,7 +436,7 @@ def train_network(
             train_sse = 0.0
             for seq_i in order:
                 x, y = train[seq_i]
-                noisy = inject_noise(x, NOISE_SIGMA, rng)
+                noisy = inject_noise(x, rng)
                 grads, loss = bptt_gradients(params, spec, noisy, y)
                 train_sse += loss
                 params.theta -= config.learning_rate * grads.theta
@@ -549,12 +536,12 @@ def gradient_check(spec: NetworkSpec, seed: int, sequence_length: int = 20) -> G
 def _named_views(params: NetworkParams):
     """(entry, key, view) for every recurrent weight block, in model-file
     order: per layer and direction, the w, r and b rows of each gate."""
-    for li, directions in enumerate(params.layers):
-        suffixes = [""] if len(directions) == 1 else ["_forward", "_backward"]
-        for suffix, dw in zip(suffixes, directions):
-            h = dw.hidden
+    for li, dw in enumerate(params.stacked):
+        suffixes = [""] if len(dw.b) == 1 else ["_forward", "_backward"]
+        h = dw.hidden
+        for suffix, *direction in zip(suffixes, dw.w, dw.r, dw.b):
             for gi, gate in enumerate(GATE_ORDER):
-                for prefix, arr in (("w", dw.w), ("r", dw.r), ("b", dw.b)):
+                for prefix, arr in zip("wrb", direction):
                     yield f"layer{li}{suffix}", f"{prefix}_{gate}", arr[gi * h : (gi + 1) * h]
 
 

@@ -272,19 +272,19 @@ def lstm_network_direct(params, x, y):
     """Predictions, SSE loss and its gradients for a stack of LSTM or BLSTM
     layers and a linear readout, frame by frame in plain Python.
 
-    Weights are read from `params.layers[l]` (one direction for LSTM; forward
-    then backward for BLSTM, the backward one reading the reversed input and
-    its outputs concatenated after the forward ones), `params.w_out` and
-    `params.b_out`. Gradients come back as one flat list in the documented
-    theta order: w, r, b of each layer and direction, then w_out, then b_out.
+    Weights are read from `params.stacked[l]`, one direction per index of its
+    direction axis (one for LSTM; forward then backward for BLSTM, the
+    backward one reading the reversed input and its outputs concatenated
+    after the forward ones), `params.w_out` and `params.b_out`. Gradients
+    come back as one flat list in the documented theta order: w, r, b of
+    each layer and direction, then w_out, then b_out.
     """
     inputs = [list(map(float, row)) for row in x]
     n = len(inputs)
     caches = []
-    for layer in params.layers:
+    for layer in params.stacked:
         outs, layer_cache = [], []
-        for k, d in enumerate(layer):
-            w, r, b = d.w.tolist(), d.r.tolist(), d.b.tolist()
+        for k, (w, r, b) in enumerate(zip(layer.w.tolist(), layer.r.tolist(), layer.b.tolist())):
             seq = inputs if k == 0 else inputs[::-1]
             hs, steps = _lstm_forward_direct(w, r, b, seq)
             outs.append(hs if k == 0 else hs[::-1])

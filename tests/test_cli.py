@@ -495,11 +495,13 @@ class TestExperimentsCommands:
              "manifest field 'recordings.0' missing required field 'fps'"),
             (lambda doc: doc["recordings"][0].update(annotations=None),
              "'recordings.0.annotations' must be a JSON object, not NoneType"),
+            (lambda doc: doc["recordings"][0].update(speech="a\nb.csv"), "a\\nb.csv"),
         ],
         ids=["recordings", "fps-str", "fps-null", "fps-bool", "fps-huge", "annotations-list",
              "annotation-path", "id", "speech", "gaze", "gaze-nul", "annotation-nul",
              "recording-str", "corpus-null", "corpus-list", "unknown-key", "unknown-recording-key",
-             "unknown-dimension", "partition", "fps-missing", "annotations-null"],
+             "unknown-dimension", "partition", "fps-missing", "annotations-null",
+             "speech-newline"],
     )
     def test_malformed_manifest_exit_2(self, corpus_dir, tmp_path, capsys, edit, message):
         doc = json.loads((corpus_dir / "manifest.json").read_text())
@@ -561,3 +563,47 @@ class TestReport:
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+def line_break_cases(corpus_dir, tmp_path):
+    """Per case, (argv, exit code, the path as the message shows it) for a
+    command given a path that holds a line break."""
+    config = write_config(tmp_path / "c.json", corpus_dir, train_manifest="x\ny.json")
+    out = str(tmp_path / "o.csv")
+    return {
+        "config-train-manifest": (["train", "--config", str(config)], 2, "x\\ny.json"),
+        "evaluate-pred": (["evaluate", "--pred", "x\ny.csv", "--truth",
+                           str(corpus_dir / "train00_arousal.csv")], 2, "x\\ny.csv"),
+        "train-config": (["train", "--config", str(tmp_path / "c\nd.json")], 1, "c\\nd.json"),
+        "sweep-config": (["sweep", "--config", str(tmp_path / "c\rd.json")], 1, "c\\rd.json"),
+        "cross-eval-config": (["cross-eval", "--config", "c\r\nd.json"], 1, "c\\r\\nd.json"),
+        "train-out-dir": (["train", "--config", str(config), "--out-dir", f"{config}/o\nut"],
+                          2, "o\\nut"),
+        "synth-out-dir": (["synth", "--out-dir", f"{config}/o\rut"], 2, "o\\rut"),
+        "extract-gaze-in": (["extract-gaze", "--in", "g\nz.csv", "--fps", "25", "--out", out],
+                            2, "g\\nz.csv"),
+        "fuse-speech": (["fuse", "--speech", "s\nz.csv", "--gaze",
+                         str(corpus_dir / "train00_speech.csv"), "--out", out], 2, "s\\nz.csv"),
+        "shift-annotations": (["shift", "--annotations", "a\x85z.csv", "--frames", "1",
+                               "--out", out], 2, "a\\x85z.csv"),
+        "report-results": (["report", "--results", "r\nz.csv", "--out", out], 2, "r\\nz.csv"),
+    }
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize("name", [
+        "config-train-manifest", "evaluate-pred", "train-config",
+        "sweep-config", "cross-eval-config", "train-out-dir", "synth-out-dir",
+        "extract-gaze-in", "fuse-speech", "shift-annotations", "report-results",
+    ])
+    def test_path_with_line_break(self, corpus_dir, tmp_path, capsys, name):
+        # The message quotes the path with its control characters escaped, so
+        # it stays on one line; an output directory that cannot be made (here
+        # beneath a regular file) is a data error, not a traceback.
+        argv, code, shown = line_break_cases(corpus_dir, tmp_path)[name]
+        assert run_cli(argv) == code
+        err = capsys.readouterr().err
+        prefix = "config error: " if code == 1 else "data error: "
+        assert err.startswith(prefix) and shown in err, err
+        assert err.endswith("\n") and err.count("\n") == 1 and "\r" not in err, err
+        assert "Traceback" not in err

@@ -9,7 +9,9 @@ document), a required key removed, or an unknown key added to a section or a
 keyed map. Hypothesis draws the values; a byte that is not UTF-8 goes in at
 a drawn position. `train` and `sweep` must reject each faulty config with
 exit 1 and each faulty manifest with exit 2, in one line of stderr and
-without a traceback; `load_model` must raise DataError.
+without a traceback; `load_model` must raise DataError. Every path of either
+document replaced by one that holds a line break and names nothing usable
+(it lies beneath a regular file) must exit 2, again in one line of stderr.
 """
 
 import contextlib
@@ -37,7 +39,7 @@ from gazeaffect.network import (
 )
 from gazeaffect.fusion import NormStats
 from gazeaffect.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
-from gazeaffect.timeline import MANIFEST_SCHEMA, Nullable, Required
+from gazeaffect.timeline import MANIFEST_SCHEMA, Nullable, Required, _path
 
 # One strategy per JSON type; a replacement is drawn from a type its target does not hold.
 JSON_TYPES = {
@@ -48,6 +50,9 @@ JSON_TYPES = {
     "list": st.lists(st.integers(0, 9), max_size=2),
     "object": st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
 }
+# One path component that holds a line break.
+_PART = st.text(st.characters(blacklist_characters="/\0"), max_size=4)
+LINE_BREAK_NAMES = st.tuples(_PART, st.sampled_from(["\n", "\r", "\r\n"]), _PART).map("".join)
 
 
 def json_type(value) -> str:
@@ -86,6 +91,25 @@ def faults(doc, rule, path=()):
             yield "wrong type", path + (key,), False
 
 
+def path_leaves(doc, root: str, path=()):
+    """The path in doc of every string leaf that names a file or directory under root."""
+    if isinstance(doc, str) and doc.startswith(root):
+        yield path
+    elif isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from path_leaves(value, root, path + (key,))
+
+
+def with_value(doc, path: tuple, value):
+    """A copy of doc with value at path."""
+    doc = copy.deepcopy(doc)
+    holder = doc
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = value
+    return doc
+
+
 def with_fault(doc, fault: str, path: tuple, nullable: bool, draw):
     """A copy of doc with the fault at path; draw draws the values it needs."""
     root = {"": copy.deepcopy(doc)}
@@ -118,6 +142,7 @@ def run_cli(argv) -> tuple[int, str]:
 
 def assert_one_line(err: str, prefix: str) -> None:
     assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1, err
+    assert "\r" not in err, err
     assert "Traceback" not in err
 
 
@@ -228,6 +253,43 @@ class TestManifest:
         code, err = run_cli(["sweep", "--config", str(root / "c.json")])
         assert code == 2
         assert_one_line(err, "data error: manifest is not valid JSON")
+
+
+class TestPathsWithLineBreaks:
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_config_paths_exit_2(self, work, data):
+        root, config, manifest = work
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        leaves = list(path_leaves(config, str(root)))
+        assert {key for key, in leaves} == {  # the schema's path keys, Required or Nullable
+            key for key, rule in CONFIG_SCHEMA.items() if getattr(rule, "rule", rule) is _path}
+        for path in leaves:
+            name = data.draw(LINE_BREAK_NAMES)
+            (root / "c.json").write_text(
+                json.dumps(with_value(config, path, f"{root / 'c.json'}/{name}")))
+            command = data.draw(st.sampled_from(["train", "sweep", "cross-eval"]))
+            if path == ("test_manifest",):
+                command = "cross-eval"  # the one command that reads the test manifest
+            code, err = run_cli([command, "--config", str(root / "c.json")])
+            assert code == 2, (path, err)
+            assert_one_line(err, "data error: ")
+
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_manifest_paths_exit_2(self, work, data):
+        root, config, manifest = work
+        (root / "c.json").write_text(json.dumps(config))
+        leaves = list(path_leaves(manifest, str(root)))
+        assert len(leaves) == sum(2 + len(rec["annotations"]) for rec in manifest["recordings"])
+        for path in leaves:
+            name = data.draw(LINE_BREAK_NAMES)
+            doc = with_value(manifest, path, f"{root / 'c.json'}/{name}")
+            (root / "manifest.json").write_text(json.dumps(doc))
+            command = data.draw(st.sampled_from(["train", "sweep", "cross-eval"]))
+            code, err = run_cli([command, "--config", str(root / "c.json")])
+            assert code == 2, (path, err)
+            assert_one_line(err, "data error: ")
 
 
 class TestModelFile:
