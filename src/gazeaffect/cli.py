@@ -37,6 +37,8 @@ from .timeline import (
     load_annotation_values,
     load_feature_csv,
     load_gaze_log_csv,
+    open_output,
+    output_error,
     parse_gaze_columns_flag,
     save_feature_csv,
 )
@@ -179,7 +181,7 @@ def _load_config(config_path: str | None, out_dir: str | None, jobs: int | None)
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise DataError(f"cannot create output directory {config.out_dir}: {exc}") from exc
+        raise output_error(config.out_dir, exc) from exc
     return config
 
 
@@ -194,7 +196,8 @@ def sweep_cmd(config_path, out_dir, jobs, modality):
     config = _load_config(config_path, out_dir, jobs)
     table, best = run_shift_sweep(config, modality=modality)
     save_results_csv(table, config.out_dir / "sweep_results.csv")
-    (config.out_dir / "best_shifts.json").write_text(json.dumps(best, indent=2))
+    with open_output(config.out_dir / "best_shifts.json") as fh:
+        fh.write(json.dumps(best, indent=2))
     for kind, shift in best.items():
         click.echo(f"best shift [{kind}]: {shift} frames")
 
@@ -209,9 +212,8 @@ def train_cmd(config_path, out_dir, jobs):
     table, improvements = run_intra_corpus(config)
     save_results_csv(table, config.out_dir / "intra_results.csv")
     render_report(table, "markdown", config.out_dir / "intra_results.md")
-    (config.out_dir / "improvements.json").write_text(
-        json.dumps(improvements, indent=2)
-    )
+    with open_output(config.out_dir / "improvements.json") as fh:
+        fh.write(json.dumps(improvements, indent=2))
     diverged = [r for r in table.rows if r.status == "div"]
     if diverged:
         raise DivergenceError(

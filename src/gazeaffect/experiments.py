@@ -42,7 +42,7 @@ from .network import (
 from .timeline import (
     DIMENSIONS, GAZE_COLUMNS, AnnotationTrace, CorpusManifest, FeatureMatrix, Nullable, Required,
     _bool, _each, _float, _int, _list, _path, _str, load_annotation_csv, load_corpus_manifest,
-    load_feature_csv, load_gaze_log_csv, read_fields, read_json,
+    load_feature_csv, load_gaze_log_csv, open_output, read_fields, read_json,
 )
 
 MODALITIES = ("speech", "gaze", "fused")
@@ -594,7 +594,7 @@ def render_report(table: ResultsTable, fmt: str, path: str | Path) -> None:
     rows = table.sorted_rows()
     path = Path(path)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_REPORT_COLUMNS)
             for row in rows:
@@ -617,7 +617,8 @@ def render_report(table: ResultsTable, fmt: str, path: str | Path) -> None:
         if best_by_dim.get(row.dimension) is row:
             cells = [f"**{c}**" if c else c for c in cells]
         lines.append("| " + " | ".join(cells) + " |")
-    path.write_text("\n".join(lines) + "\n")
+    with open_output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_results_csv(table: ResultsTable, path: str | Path) -> None:

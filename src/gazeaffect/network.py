@@ -31,7 +31,7 @@ from .errors import DataError, DivergenceError
 from .fusion import NormStats
 from .timeline import (
     Nullable, Required, _float, _int, _list, _object, _one_of, _positive, _str, read_fields,
-    read_json,
+    open_output, read_json,
 )
 
 GATE_ORDER = ("input", "forget", "cell", "output")
@@ -299,13 +299,19 @@ def _direction_backward(
     return dz_all
 
 
+def _join(parts: list, axis: int) -> np.ndarray:
+    """The per-direction parts of a layer joined along `axis`; a layer with
+    one direction gets its one part back, a view, not a copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
 def _layer_forward(dw: DirectionWeights, x: np.ndarray):
     """Run all directions of one layer (dw arrays (..., directions, 4H, ·))
-    in one time loop and concatenate their outputs."""
+    in one time loop and concatenate their outputs. With one direction the
+    cached input is x and the output a view of the cached hidden states."""
     steps = _DIRECTION_TIME[: dw.b.shape[-2]]
-    xs = np.stack([x[..., s, :] for s in steps], axis=-3)
-    hs, cache = _direction_forward(dw, xs)
-    return np.concatenate([hs[..., k, s, :] for k, s in enumerate(steps)], axis=-1), cache
+    hs, cache = _direction_forward(dw, _join([x[..., None, s, :] for s in steps], -3))
+    return _join([hs[..., k, s, :] for k, s in enumerate(steps)], -1), cache
 
 
 def _layer_backward(
@@ -315,16 +321,18 @@ def _layer_backward(
     the gate deltas of its directions."""
     steps = _DIRECTION_TIME[: dw.b.shape[-2]]
     h = dw.hidden
-    d_hs = np.stack(
-        [d_out[..., s, k * h : (k + 1) * h] for k, s in enumerate(steps)], axis=-3
-    )
+    d_hs = _join([d_out[..., None, s, k * h : (k + 1) * h] for k, s in enumerate(steps)], -3)
     return _direction_backward(dw, cache, d_hs, grad)
 
 
 def _input_gradient(dw: DirectionWeights, dz: np.ndarray) -> np.ndarray:
-    """Gradient of a layer's input from the gate deltas of its directions."""
+    """Gradient of a layer's input from the gate deltas of its directions:
+    the backward direction's part is added into the forward one's."""
     dxs = dz @ dw.w
-    return sum(dxs[..., k, s, :] for k, s in enumerate(_DIRECTION_TIME[: dw.b.shape[-2]]))
+    dx = dxs[..., 0, :, :]
+    if dw.b.shape[-2] == 2:
+        dx += dxs[..., 1, _DIRECTION_TIME[1], :]
+    return dx
 
 
 def predict(params: NetworkParams, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
@@ -386,6 +394,7 @@ def bptt_gradients(
         dz = _layer_backward(dw, caches.pop(), d_h, grad)  # frees each cache after use
         if caches:  # layer 0's input gradient is never read
             d_h = _input_gradient(dw, dz)
+        del dz  # the deltas go before the next layer's backward starts
     return grads, loss
 
 
@@ -569,7 +578,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "history": [[tr, va] for tr, va in model.history],
         "metadata": model.metadata,
     }
-    Path(path).write_text(json.dumps(doc))
+    with open_output(path) as fh:
+        fh.write(json.dumps(doc))
 
 
 def _weights_schema(params: NetworkParams) -> dict:

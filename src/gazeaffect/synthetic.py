@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DataError
 from .timeline import (
-    DIMENSIONS, GAZE_COLUMNS, FeatureMatrix, FrameRate, save_feature_csv, save_numeric_csv,
+    DIMENSIONS, GAZE_COLUMNS, FeatureMatrix, FrameRate, open_output, output_error,
+    save_feature_csv, save_numeric_csv,
 )
 
 SPEECH_SIGNAL_COLUMN = "speech_env"
@@ -149,7 +150,7 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) ->
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise DataError(f"cannot create output directory {out_dir}: {exc}") from exc
+        raise output_error(out_dir, exc) from exc
     counts = {
         "train": spec.train_recordings,
         "validation": spec.validation_recordings,
@@ -166,5 +167,6 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) ->
             rec_seed += 1
     manifest = {"corpus": spec.name, "recordings": recordings}
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    with open_output(manifest_path) as fh:
+        fh.write(json.dumps(manifest, indent=2))
     return manifest_path

@@ -9,7 +9,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -162,6 +164,22 @@ def read_json(path: Path, error: type, what: str):
         raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
+def output_error(path, exc: OSError) -> DataError:
+    """An output file or directory that cannot be written, as a data error naming it."""
+    return DataError(f"cannot write output {path}: {exc.strerror or exc}")
+
+
+@contextmanager
+def open_output(path: str | Path, newline: str | None = None):
+    """The text file at `path` opened for writing; an OSError while opening or
+    writing it raises output_error."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise output_error(path, exc) from exc
+
+
 @dataclass(frozen=True)
 class Required:  # a schema rule whose key every document must hold
     rule: object
@@ -249,6 +267,7 @@ def _positive(value) -> float:
 def _path(value) -> str:
     if "\0" in _str(value):
         raise ValueError(f"a path cannot hold NUL, got {value!r:.80}")
+    os.fsencode(value)  # UnicodeEncodeError, a ValueError, for a lone surrogate
     return value
 
 
@@ -382,7 +401,7 @@ def save_feature_csv(matrix: FeatureMatrix, path: str | Path) -> None:
 def save_numeric_csv(path: str | Path, header, rows) -> None:
     """Write a header (through csv.writer: names may need quoting) and rows of
     ints and floats, as the reprs that csv.writer writes and never quotes."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 

@@ -496,12 +496,13 @@ class TestExperimentsCommands:
             (lambda doc: doc["recordings"][0].update(annotations=None),
              "'recordings.0.annotations' must be a JSON object, not NoneType"),
             (lambda doc: doc["recordings"][0].update(speech="a\nb.csv"), "a\\nb.csv"),
+            (lambda doc: doc["recordings"][0].update(gaze="a\udd00b.csv"), "'recordings.0.gaze'"),
         ],
         ids=["recordings", "fps-str", "fps-null", "fps-bool", "fps-huge", "annotations-list",
              "annotation-path", "id", "speech", "gaze", "gaze-nul", "annotation-nul",
              "recording-str", "corpus-null", "corpus-list", "unknown-key", "unknown-recording-key",
              "unknown-dimension", "partition", "fps-missing", "annotations-null",
-             "speech-newline"],
+             "speech-newline", "gaze-surrogate"],
     )
     def test_malformed_manifest_exit_2(self, corpus_dir, tmp_path, capsys, edit, message):
         doc = json.loads((corpus_dir / "manifest.json").read_text())
@@ -607,3 +608,56 @@ class TestOneLineErrors:
         assert err.startswith(prefix) and shown in err, err
         assert err.endswith("\n") and err.count("\n") == 1 and "\r" not in err, err
         assert "Traceback" not in err
+
+
+def unwritable_output_cases(corpus_dir, tmp_path):
+    """Per case, (argv, the output the message names) for a command whose
+    output file cannot be written: it lies beneath a regular file, or a
+    directory holds its name."""
+    blocker = tmp_path / "ok.json"
+    blocker.write_text("{}")
+    beneath = str(blocker / "x.csv")
+    gaze = tmp_path / "gaze.csv"
+    assert run_cli(["extract-gaze", "--in", str(corpus_dir / "train00_gaze.csv"),
+                    "--fps", "25", "--out", str(gaze)]) == 0
+    results = tmp_path / "r.csv"
+    results.write_text(f"{RESULTS_HEADER}\narousal,speech,lstm,0,7,0.001,0.4,,c,,ok\n")
+    config = str(write_config(tmp_path / "c.json", corpus_dir))
+
+    def occupied(name):  # an out-dir holding a directory named like an output file
+        (tmp_path / f"out-{name}" / name).mkdir(parents=True)
+        return str(tmp_path / f"out-{name}")
+
+    return {
+        "shift": (["shift", "--annotations", str(corpus_dir / "train00_arousal.csv"),
+                   "--frames", "1", "--out", beneath], beneath),
+        "extract-gaze": (["extract-gaze", "--in", str(corpus_dir / "train00_gaze.csv"),
+                          "--fps", "25", "--out", beneath], beneath),
+        "fuse": (["fuse", "--speech", str(corpus_dir / "train00_speech.csv"),
+                  "--gaze", str(gaze), "--out", beneath], beneath),
+        "report-markdown": (["report", "--results", str(results), "--out", beneath], beneath),
+        "report-csv": (["report", "--results", str(results), "--format", "csv",
+                        "--out", beneath], beneath),
+        "train-results": (["train", "--config", config, "--out-dir",
+                           occupied("intra_results.csv")], "intra_results.csv"),
+        "sweep-results": (["sweep", "--config", config, "--out-dir",
+                           occupied("sweep_results.csv")], "sweep_results.csv"),
+        "sweep-best-shifts": (["sweep", "--config", config, "--out-dir",
+                               occupied("best_shifts.json")], "best_shifts.json"),
+        "synth-manifest": (["synth", "--out-dir", occupied("manifest.json"), "--frames", "60",
+                            "--recordings", "1,1,1"], "manifest.json"),
+    }
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("name", [
+        "shift", "extract-gaze", "fuse", "report-markdown", "report-csv",
+        "train-results", "sweep-results", "sweep-best-shifts", "synth-manifest",
+    ])
+    def test_exit_2_on_one_line(self, corpus_dir, tmp_path, capsys, name):
+        argv, shown = unwritable_output_cases(corpus_dir, tmp_path)[name]
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot write output ") and shown in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err, err

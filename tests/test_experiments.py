@@ -190,6 +190,7 @@ class TestConfig:
             ({"networks": [{"kind": "lstm", "sizes": [4], "dropout": 0.5}]},
              "networks.0.dropout"),
             ({"networks": [{"kind": 4, "sizes": [4]}]}, "networks.0.kind"),
+            ({"train_manifest": "m\udd00.json"}, "train_manifest"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):
