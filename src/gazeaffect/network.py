@@ -326,13 +326,13 @@ def _layer_backward(
 
 
 def _input_gradient(dw: DirectionWeights, dz: np.ndarray) -> np.ndarray:
-    """Gradient of a layer's input from the gate deltas of its directions:
-    the backward direction's part is added into the forward one's."""
+    """Gradient of a layer's input from the gate deltas of its directions. One
+    direction gets a view of its part; two get a fresh sum, so the product
+    holding both parts is freed."""
     dxs = dz @ dw.w
-    dx = dxs[..., 0, :, :]
-    if dw.b.shape[-2] == 2:
-        dx += dxs[..., 1, _DIRECTION_TIME[1], :]
-    return dx
+    if dw.b.shape[-2] == 1:
+        return dxs[..., 0, :, :]
+    return dxs[..., 0, :, :] + dxs[..., 1, _DIRECTION_TIME[1], :]
 
 
 def predict(params: NetworkParams, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:

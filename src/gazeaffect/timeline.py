@@ -267,7 +267,9 @@ def _positive(value) -> float:
 def _path(value) -> str:
     if "\0" in _str(value):
         raise ValueError(f"a path cannot hold NUL, got {value!r:.80}")
-    os.fsencode(value)  # UnicodeEncodeError, a ValueError, for a lone surrogate
+    # UnicodeEncodeError, a ValueError, for a lone surrogate outside U+DC80-U+DCFF
+    # (those stand for the bytes of a file name that is not UTF-8)
+    os.fsencode(value)
     return value
 
 

@@ -386,6 +386,7 @@ class TestGradients:
         # An LSTM layer passes views of its input and output and the deltas
         # go once the input gradient is formed: a peak of about 10.1e6 bytes at
         # the protocol's 80-60 size on 1000 frames, where copies took 12.4e6.
+        # The bound leaves 14% for temporaries that differ between numpy versions.
         spec = NetworkSpec(layers=(LayerSpec("lstm", 80), LayerSpec("lstm", 60)), input_dim=88)
         params = init_network(spec, 0)
         rng = np.random.default_rng(1)
@@ -396,7 +397,7 @@ class TestGradients:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11e6, peak
+        assert peak < 11.5e6, peak
 
     def test_zero_guard_degenerate_check(self):
         # Zero weights + zero targets: every relative error stays defined.

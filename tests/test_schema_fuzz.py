@@ -11,13 +11,15 @@ a drawn position. `train` and `sweep` must reject each faulty config with
 exit 1 and each faulty manifest with exit 2, in one line of stderr and
 without a traceback; `load_model` must raise DataError. Every path of either
 document replaced by one that holds a line break and names nothing usable
-(it lies beneath a regular file) must exit 2, again in one line of stderr.
+(it lies beneath a regular file) must exit 2, again in one line of stderr; a
+config path whose lone surrogate encodes no byte is a config error, exit 1.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -50,10 +52,8 @@ JSON_TYPES = {
     "list": st.lists(st.integers(0, 9), max_size=2),
     "object": st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
 }
-# One path component that holds a line break. No NUL or lone surrogate: no file
-# name holds one, and the schema rejects both (tests/test_experiments.py).
-_PART = st.text(st.characters(blacklist_characters="/\0", blacklist_categories=("Cs",)),
-                max_size=4)
+# One path component that holds a line break.
+_PART = st.text(st.characters(blacklist_characters="/\0"), max_size=4)
 LINE_BREAK_NAMES = st.tuples(_PART, st.sampled_from(["\n", "\r", "\r\n"]), _PART).map("".join)
 
 
@@ -274,6 +274,12 @@ class TestPathsWithLineBreaks:
             if path == ("test_manifest",):
                 command = "cross-eval"  # the one command that reads the test manifest
             code, err = run_cli([command, "--config", str(root / "c.json")])
+            try:
+                os.fsencode(name)
+            except UnicodeEncodeError:  # a lone surrogate no file name holds: a config error
+                assert code == 1, (path, err)
+                assert_one_line(err, "config error: ")
+                continue
             assert code == 2, (path, err)
             assert_one_line(err, "data error: ")
 
