@@ -168,9 +168,9 @@ def synth_cmd(out_dir, name, recordings, frames, fps, lag, noise,
     click.echo(f"wrote corpus manifest to {manifest_path}")
 
 
-def _load_config(config_path: str | None, out_dir: str | None, jobs: int | None):
-    if config_path is None:
-        raise ConfigError("this command requires --config")
+def _load_config(config_path: str, out_dir: str | None, jobs: int | None, *outputs: str):
+    """The config and the path of each named output file in its out-dir. Each
+    output is checked for writing before any data is read, and left as it was."""
     config = ExperimentConfig.from_json(config_path)
     if out_dir is not None:
         config.out_dir = Path(out_dir).resolve()
@@ -182,7 +182,16 @@ def _load_config(config_path: str | None, out_dir: str | None, jobs: int | None)
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise output_error(config.out_dir, exc) from exc
-    return config
+    paths = [config.out_dir / name for name in outputs]
+    for path in paths:
+        existed = path.exists()
+        try:
+            open(path, "a").close()  # appending truncates nothing
+        except OSError as exc:
+            raise output_error(path, exc) from exc
+        if not existed:
+            path.unlink()
+    return config, paths
 
 
 @cli.command("sweep")
@@ -193,10 +202,11 @@ def _load_config(config_path: str | None, out_dir: str | None, jobs: int | None)
               type=click.Choice(["speech", "gaze", "fused"]))
 def sweep_cmd(config_path, out_dir, jobs, modality):
     """Ground-truth time-shift sweep; reports the best shift per network."""
-    config = _load_config(config_path, out_dir, jobs)
+    config, (results, shifts) = _load_config(config_path, out_dir, jobs,
+                                             "sweep_results.csv", "best_shifts.json")
     table, best = run_shift_sweep(config, modality=modality)
-    save_results_csv(table, config.out_dir / "sweep_results.csv")
-    with open_output(config.out_dir / "best_shifts.json") as fh:
+    save_results_csv(table, results)
+    with open_output(shifts) as fh:
         fh.write(json.dumps(best, indent=2))
     for kind, shift in best.items():
         click.echo(f"best shift [{kind}]: {shift} frames")
@@ -208,11 +218,12 @@ def sweep_cmd(config_path, out_dir, jobs, modality):
 @click.option("--jobs", default=None, type=int)
 def train_cmd(config_path, out_dir, jobs):
     """Intra-corpus unimodal/bimodal training at the chosen shift."""
-    config = _load_config(config_path, out_dir, jobs)
+    config, (results, report, improved) = _load_config(
+        config_path, out_dir, jobs, "intra_results.csv", "intra_results.md", "improvements.json")
     table, improvements = run_intra_corpus(config)
-    save_results_csv(table, config.out_dir / "intra_results.csv")
-    render_report(table, "markdown", config.out_dir / "intra_results.md")
-    with open_output(config.out_dir / "improvements.json") as fh:
+    save_results_csv(table, results)
+    render_report(table, "markdown", report)
+    with open_output(improved) as fh:
         fh.write(json.dumps(improvements, indent=2))
     diverged = [r for r in table.rows if r.status == "div"]
     if diverged:
@@ -233,10 +244,11 @@ def train_cmd(config_path, out_dir, jobs):
 @click.option("--jobs", default=None, type=int)
 def cross_eval_cmd(config_path, out_dir, jobs):
     """Cross-corpus evaluation with frame-rate shift conversion."""
-    config = _load_config(config_path, out_dir, jobs)
+    config, (results, report) = _load_config(config_path, out_dir, jobs,
+                                             "cross_results.csv", "cross_results.md")
     table, models = run_cross_corpus(config)
-    save_results_csv(table, config.out_dir / "cross_results.csv")
-    render_report(table, "markdown", config.out_dir / "cross_results.md")
+    save_results_csv(table, results)
+    render_report(table, "markdown", report)
     for i, model in enumerate(models):
         name = (
             f"cross_model_{model.metadata.get('network', 'net')}_"

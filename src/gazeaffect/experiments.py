@@ -114,6 +114,10 @@ class ExperimentConfig:
         if self.shift.stride_frames < 1:
             raise ConfigError(f"config field 'shift.stride_frames' needs frames >= 1, "
                               f"got {self.shift.stride_frames}")
+        for name in ("chosen_frames", "cross_overrides"):  # a None override converts the shift
+            frames = getattr(self.shift, name)
+            if any(v is not None and v < 0 for v in frames.values()):
+                raise ConfigError(f"config field 'shift.{name}' needs frames >= 0, got {frames}")
         if not (self.networks and self.learning_rates and self.seeds):
             raise ConfigError("network/learning-rate/seed grids must be non-empty")
         if min(self.seeds) < 0:
@@ -164,13 +168,6 @@ class ExperimentConfig:
         return cls(shift=ShiftSettings(**fields.pop("shift", {})), **fields)
 
 
-def _shift(value) -> int:
-    """A non-negative JSON integer number of frames."""
-    if _int(value) < 0:
-        raise ValueError(f"shift frames must be non-negative, got {value}")
-    return value
-
-
 # Each key of a config file and its rule (see timeline.read_fields).
 CONFIG_SCHEMA = {
     "train_manifest": Required(_path),
@@ -180,10 +177,10 @@ CONFIG_SCHEMA = {
     "window_seconds": (_each(_float, DEFAULT_WINDOW_SECONDS), DIMENSIONS),
     "shift": {
         "anchor_frames": (_each(_int, DEFAULT_ANCHOR_FRAMES), DIMENSIONS),
-        "chosen_frames": (_each(_shift, DEFAULT_CHOSEN_FRAMES), DIMENSIONS),
+        "chosen_frames": (_each(_int, DEFAULT_CHOSEN_FRAMES), DIMENSIONS),
         "range_seconds": _float,
         "stride_frames": _int,
-        "cross_overrides": (_each(lambda v: v if v is None else _shift(v)), DIMENSIONS),
+        "cross_overrides": (_each(lambda v: v if v is None else _int(v)), DIMENSIONS),
     },
     "networks": [{"kind": Required(_str), "sizes": Required(_list(_int))}],
     "training": {
@@ -197,10 +194,6 @@ CONFIG_SCHEMA = {
     "jobs": _int,
     "cross_both_directions": _bool,
 }
-
-
-# A results row's grid point, in report and sort order.
-_KEY_COLUMNS = ("dimension", "modality", "network", "shift_frames", "seed", "learning_rate")
 
 
 @dataclass
@@ -217,6 +210,38 @@ class ResultRow:
     status: str = "ok"
     train_corpus: str = ""
     test_corpus: str = ""
+
+
+def _ccc_text(value: float | None) -> str:
+    """A CCC as a results cell: empty for None (no test set), "div" for NaN."""
+    if value is None:
+        return ""
+    return "div" if math.isnan(value) else f"{value:.4f}"
+
+
+def _ccc(raw: str) -> float:
+    """A CCC cell read back: empty or "div" read as nan."""
+    return math.nan if raw in ("", "div") else float(raw)
+
+
+# Each column of a results CSV or markdown report, in order: (name, how a
+# row's value is written, how a CSV cell reads back, the cell that a file
+# without the column reads as; None: every file must hold it).
+_COLUMNS = (
+    ("dimension", str, str, None),
+    ("modality", str, str, None),
+    ("network", str, str, None),
+    ("shift_frames", str, int, None),
+    ("seed", str, int, None),
+    ("learning_rate", str, float, None),
+    ("val_ccc", _ccc_text, _ccc, ""),
+    ("test_ccc", _ccc_text, lambda raw: _ccc(raw) if raw else None, ""),
+    ("train_corpus", str, str, ""),
+    ("test_corpus", str, str, ""),
+    ("status", str, str, "ok"),
+)
+# A results row's grid point, in sort order: the columns every file holds.
+_KEY_COLUMNS = tuple(name for name, _, _, default in _COLUMNS if default is None)
 
 
 @dataclass
@@ -311,6 +336,7 @@ class RunTask:
     train_set: list  # (features, shifted trace) per recording, raw units
     val_set: list
     test_set: list | None
+    metadata: dict = field(default_factory=dict)  # added to the model's, after its network
 
 
 def run_task(task: RunTask) -> tuple[ResultRow, TrainedModel | None]:
@@ -334,7 +360,7 @@ def run_task(task: RunTask) -> tuple[ResultRow, TrainedModel | None]:
         row.status = "div"
         return row, None
     model.norm_stats, model.dimension, model.shift_used = stats, row.dimension, row.shift_frames
-    model.metadata.update(modality=row.modality, network=row.network)
+    model.metadata.update(modality=row.modality, network=row.network, **task.metadata)
     row.val_sse = model.metadata["best_val_sse"]
     row.val_ccc = _score_ccc(model, task.val_set)
     if task.test_set:
@@ -476,22 +502,19 @@ def run_shift_sweep(
     shifts = sweep_shifts(config, fps, _shortest_trace(corpus[1]))
     tasks = _grid(config, (modality,), shifts, corpus, None)
     table = ResultsTable(rows=_execute(_task_row, tasks, config.jobs))
-    selected = _select(table.rows, attrgetter("network", "shift_frames"))
-    best: dict[str, int] = {}
-    for net in config.networks:
-        cells = [r for (kind, _), r in selected.items() if kind == net.kind]
-        if cells:
-            best[net.kind] = max(cells, key=attrgetter("val_ccc")).shift_frames
-    return table, best
+    selected = _select(table.rows, attrgetter("network", "shift_frames"), attrgetter("val_sse"))
+    best = _select(selected.values(), attrgetter("network"), lambda r: -r.val_ccc)
+    return table, {kind: row.shift_frames for kind, row in best.items()}
 
 
-def _select(rows: list[ResultRow], cell) -> dict:
-    """The `ok` row with the lowest validation SSE for each cell(row), the
-    first one on ties, in the order the cells first appear."""
+def _select(rows, cell, score) -> dict:
+    """For each cell(row), in the order the cells first appear, the `ok` row
+    with the lowest score(row) that is not NaN, the first one on ties."""
     selected = {}
     for row in rows:
-        key = cell(row)
-        if row.status == "ok" and (key not in selected or row.val_sse < selected[key].val_sse):
+        key, value = cell(row), score(row)
+        if row.status == "ok" and not math.isnan(value) and (
+                key not in selected or value < score(selected[key])):
             selected[key] = row
     return selected
 
@@ -507,7 +530,7 @@ def run_intra_corpus(
     test = (name, test_recs, shift) if test_recs else None
     tasks = _grid(config, config.modalities, [shift], corpus, test)
     table = ResultsTable(rows=_execute(_task_row, tasks, config.jobs))
-    selected = _select(table.rows, attrgetter("network", "modality"))
+    selected = _select(table.rows, attrgetter("network", "modality"), attrgetter("val_sse"))
     improvements = {}
     for net in config.networks:
         unimodal = [selected[net.kind, m].val_ccc for m in ("speech", "gaze")
@@ -542,7 +565,7 @@ def run_cross_corpus(config: ExperimentConfig) -> tuple[ResultsTable, list[Train
     shift = config.shift.chosen_frames[config.dimension]
     override = config.shift.cross_overrides.get(config.dimension)
     directions = [(a, b), (b, a)] if config.cross_both_directions else [(a, b)]
-    tasks, conversions = [], []
+    tasks = []
     for corpus, (test_name, test_recs) in directions:
         test = _partition(test_recs, "test")
         frames = _shortest_trace(corpus[1])
@@ -553,36 +576,20 @@ def run_cross_corpus(config: ExperimentConfig) -> tuple[ResultsTable, list[Train
         )
         test_shift = computed if override is None else override
         grid = _grid(config, config.modalities, [shift], corpus, (test_name, test, test_shift))
-        tasks += grid
-        conversions += [(test_shift, computed)] * len(grid)
-    results = _execute(run_task, tasks, config.jobs)
-    for (_, model), (test_shift, computed) in zip(results, conversions):
-        if model is not None:
-            model.metadata["shift_conversion"] = {
+        for task in grid:
+            task.metadata["shift_conversion"] = {
                 "train_shift_frames": shift,
                 "test_shift_frames": test_shift,
                 "computed_frames": computed,
                 "override_frames": override,
             }
+        tasks += grid
+    results = _execute(run_task, tasks, config.jobs)
     return ResultsTable(rows=[row for row, _ in results]), [m for _, m in results if m is not None]
 
 
 # ---------------------------------------------------------------------------
 # Report rendering
-
-_REPORT_COLUMNS = _KEY_COLUMNS + ("val_ccc", "test_ccc", "train_corpus", "test_corpus", "status")
-
-
-def _cell(row: ResultRow, col: str) -> str:
-    value = getattr(row, col)
-    if col in ("val_ccc", "test_ccc"):
-        if value is None:
-            return ""
-        if isinstance(value, float) and math.isnan(value):
-            return "div"
-        return f"{value:.4f}"
-    return str(value)
-
 
 def render_report(table: ResultsTable, fmt: str, path: str | Path) -> None:
     """Write the results table as CSV or markdown with deterministic ordering.
@@ -593,28 +600,18 @@ def render_report(table: ResultsTable, fmt: str, path: str | Path) -> None:
         raise DataError("cannot render an empty results table")
     rows = table.sorted_rows()
     path = Path(path)
+    names = [name for name, *_ in _COLUMNS]
+    texts = [[write(getattr(row, name)) for name, write, *_ in _COLUMNS] for row in rows]
     if fmt == "csv":
         with open_output(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_REPORT_COLUMNS)
-            for row in rows:
-                writer.writerow([_cell(row, c) for c in _REPORT_COLUMNS])
+            csv.writer(fh).writerows([names, *texts])
         return
     if fmt != "markdown":
         raise ConfigError(f"unknown report format {fmt!r}")
-    best_by_dim = {}
-    for row in rows:
-        if row.status == "ok" and not math.isnan(row.val_ccc):
-            cur = best_by_dim.get(row.dimension)
-            if cur is None or row.val_ccc > cur.val_ccc:
-                best_by_dim[row.dimension] = row
-    lines = [
-        "| " + " | ".join(_REPORT_COLUMNS) + " |",
-        "| " + " | ".join("---" for _ in _REPORT_COLUMNS) + " |",
-    ]
-    for row in rows:
-        cells = [_cell(row, c) for c in _REPORT_COLUMNS]
-        if best_by_dim.get(row.dimension) is row:
+    best = _select(rows, attrgetter("dimension"), lambda r: -r.val_ccc)
+    lines = ["| " + " | ".join(names) + " |", "| " + " | ".join("---" for _ in names) + " |"]
+    for row, cells in zip(rows, texts):
+        if best.get(row.dimension) is row:
             cells = [f"**{c}**" if c else c for c in cells]
         lines.append("| " + " | ".join(cells) + " |")
     with open_output(path) as fh:
@@ -623,11 +620,6 @@ def render_report(table: ResultsTable, fmt: str, path: str | Path) -> None:
 
 def save_results_csv(table: ResultsTable, path: str | Path) -> None:
     render_report(table, "csv", path)
-
-
-def _ccc_cell(raw: str) -> float:
-    """A CCC cell of a results CSV: empty or "div" read as nan."""
-    return math.nan if raw in ("", "div") else float(raw)
 
 
 def load_results_csv(path: str | Path) -> ResultsTable:
@@ -639,28 +631,14 @@ def load_results_csv(path: str | Path) -> ResultsTable:
     rows = []
     with open(path, newline="", errors="replace") as fh:
         for i, rec in enumerate(csv.DictReader(fh), start=1):
-            def cell(col, convert=str, default=None):
-                raw = rec.get(col, default)  # None: no such column, or a short row
+            values = {}
+            for name, _, read, default in _COLUMNS:
+                raw = rec.get(name, default)  # None: no such column, or a short row
                 if raw is None:
-                    raise DataError(f"{path}: data row {i} has no {col!r} cell")
+                    raise DataError(f"{path}: data row {i} has no {name!r} cell")
                 try:
-                    return convert(raw)
+                    values[name] = read(raw)
                 except ValueError:
-                    raise DataError(f"{path}: bad {col!r} cell {raw!r} at data row {i}") from None
-
-            rows.append(
-                ResultRow(
-                    dimension=cell("dimension"),
-                    modality=cell("modality"),
-                    network=cell("network"),
-                    shift_frames=cell("shift_frames", int),
-                    seed=cell("seed", int),
-                    learning_rate=cell("learning_rate", float),
-                    val_ccc=cell("val_ccc", _ccc_cell, ""),
-                    test_ccc=cell("test_ccc", lambda raw: _ccc_cell(raw) if raw else None, ""),
-                    status=cell("status", default="ok"),
-                    train_corpus=cell("train_corpus", default=""),
-                    test_corpus=cell("test_corpus", default=""),
-                )
-            )
+                    raise DataError(f"{path}: bad {name!r} cell {raw!r} at data row {i}") from None
+            rows.append(ResultRow(**values))
     return ResultsTable(rows=rows)

@@ -47,6 +47,9 @@ class SyntheticCorpusSpec:
             raise DataError(f"noise level must be finite and >= 0, got {self.noise_level}")
         if self.frames < 2 or self.speech_dim < 1:
             raise DataError("need at least 2 frames and 1 speech feature")
+        counts = (self.train_recordings, self.validation_recordings, self.test_recordings)
+        if min(counts) < 0:
+            raise DataError(f"recording counts must be >= 0, got {counts}")
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:

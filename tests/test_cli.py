@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gazeaffect
+from gazeaffect import experiments
 from gazeaffect.cli import main
 from gazeaffect.synthetic import SyntheticCorpusSpec, generate_synthetic_corpus
 from gazeaffect.timeline import FrameRate, load_feature_csv
@@ -211,6 +212,7 @@ class TestFlagFaults:
             ["fuse", "--speech", "s.csv", "--gaze", "g.csv", "--fps", "0"],
             ["shift", "--annotations", "a.csv", "--frames", "3", "--fps", "0"],
             ["shift", "--annotations", "a.csv", "--frames", "-1"],
+            ["synth", "--recordings", "-1,2,2"],
         ],
         ids=" ".join,
     )
@@ -623,6 +625,8 @@ def unwritable_output_cases(corpus_dir, tmp_path):
     results = tmp_path / "r.csv"
     results.write_text(f"{RESULTS_HEADER}\narousal,speech,lstm,0,7,0.001,0.4,,c,,ok\n")
     config = str(write_config(tmp_path / "c.json", corpus_dir))
+    cross = str(write_config(tmp_path / "x.json", corpus_dir,
+                             test_manifest=str(corpus_dir / "manifest.json")))
 
     def occupied(name):  # an out-dir holding a directory named like an output file
         (tmp_path / f"out-{name}" / name).mkdir(parents=True)
@@ -640,6 +644,14 @@ def unwritable_output_cases(corpus_dir, tmp_path):
                         "--out", beneath], beneath),
         "train-results": (["train", "--config", config, "--out-dir",
                            occupied("intra_results.csv")], "intra_results.csv"),
+        "train-report": (["train", "--config", config, "--out-dir",
+                          occupied("intra_results.md")], "intra_results.md"),
+        "train-improvements": (["train", "--config", config, "--out-dir",
+                                occupied("improvements.json")], "improvements.json"),
+        "cross-eval-results": (["cross-eval", "--config", cross, "--out-dir",
+                                occupied("cross_results.csv")], "cross_results.csv"),
+        "cross-eval-report": (["cross-eval", "--config", cross, "--out-dir",
+                               occupied("cross_results.md")], "cross_results.md"),
         "sweep-results": (["sweep", "--config", config, "--out-dir",
                            occupied("sweep_results.csv")], "sweep_results.csv"),
         "sweep-best-shifts": (["sweep", "--config", config, "--out-dir",
@@ -649,15 +661,36 @@ def unwritable_output_cases(corpus_dir, tmp_path):
     }
 
 
+def no_training(monkeypatch):
+    """Make any training run fail the test: an output check must come first."""
+    def train_network(*args, **kwargs):
+        raise AssertionError("trained before the output check")
+
+    monkeypatch.setattr(experiments, "train_network", train_network)
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("name", [
         "shift", "extract-gaze", "fuse", "report-markdown", "report-csv",
-        "train-results", "sweep-results", "sweep-best-shifts", "synth-manifest",
+        "train-results", "train-report", "train-improvements", "sweep-results",
+        "sweep-best-shifts", "cross-eval-results", "cross-eval-report", "synth-manifest",
     ])
-    def test_exit_2_on_one_line(self, corpus_dir, tmp_path, capsys, name):
+    def test_exit_2_on_one_line(self, corpus_dir, tmp_path, capsys, monkeypatch, name):
         argv, shown = unwritable_output_cases(corpus_dir, tmp_path)[name]
+        no_training(monkeypatch)
         capsys.readouterr()
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot write output ") and shown in err, err
         assert err.count("\n") == 1 and "Traceback" not in err, err
+        if argv[0] in ("train", "sweep", "cross-eval"):  # the check leaves no output behind
+            assert [p.name for p in Path(argv[-1]).iterdir()] == [shown]
+
+    def test_check_leaves_an_existing_output_as_it_was(self, corpus_dir, tmp_path, monkeypatch):
+        config = write_config(tmp_path / "c.json", corpus_dir)
+        out = tmp_path / "out"
+        (out / "intra_results.md").mkdir(parents=True)
+        (out / "intra_results.csv").write_text("kept\n")
+        no_training(monkeypatch)
+        assert run_cli(["train", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert (out / "intra_results.csv").read_text() == "kept\n"

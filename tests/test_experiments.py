@@ -246,6 +246,10 @@ class TestConfig:
             (dict(modalities=("speech", "fused", "speech")), "'modalities' needs distinct values"),
             (dict(learning_rates=(1e-3, 0.001)), "'training.learning_rates' needs distinct values"),
             (dict(seeds=(7, 7)), r"'training.seeds' needs distinct values, got \[7, 7\]"),
+            (dict(shift=ShiftSettings(chosen_frames={"arousal": -3, "valence": 78})),
+             "'shift.chosen_frames' needs frames >= 0"),
+            (dict(shift=ShiftSettings(cross_overrides={"arousal": None, "valence": -1})),
+             "'shift.cross_overrides' needs frames >= 0"),
         ],
     )
     def test_grid_values_are_config_errors(self, corpus_dir, overrides, message):
@@ -388,18 +392,19 @@ class TestShiftSweep:
         assert best == {"lstm": 6}
 
     def test_best_shift_keeps_the_first_row_on_ties(self, corpus_dir, monkeypatch):
-        # seed 7 wins every cell on SSE, with one CCC at every shift; seed 8's
-        # higher CCC at shift 9 is not its cell's selected run
-        def fake_row(task):
-            row = task.row
-            row.val_sse = 10.0 + row.seed
-            row.val_ccc = 0.9 if (row.seed, row.shift_frames) == (8, 9) else 0.5
-            return row
-
-        monkeypatch.setattr(experiments, "_task_row", fake_row)
+        # seed 7 wins every cell on SSE; among tied CCCs the first shift in grid
+        # order wins, and seed 8's higher CCC is never its cell's run
         config = small_config(corpus_dir, networks=(NetworkChoice("lstm", (4,)),), seeds=(7, 8))
-        _, best = run_shift_sweep(config, modality="speech")
-        assert best == {"lstm": 3}
+        for cccs, shift in (({3: 0.5, 6: 0.5, 9: 0.5}, 3), ({3: 0.4, 6: 0.5, 9: 0.5}, 6)):
+            def fake_row(task, cccs=cccs):
+                row = task.row
+                row.val_sse = 10.0 + row.seed
+                row.val_ccc = 0.9 if row.seed == 8 else cccs[row.shift_frames]
+                return row
+
+            monkeypatch.setattr(experiments, "_task_row", fake_row)
+            _, best = run_shift_sweep(config, modality="speech")
+            assert best == {"lstm": shift}
 
 
 class TestIntraCorpus:
@@ -544,6 +549,10 @@ class TestCrossCorpus:
         for i, (row, model) in enumerate(zip(table.rows, models)):
             save_model(model, tmp_path / f"model{i}.json")
             loaded = load_model(tmp_path / f"model{i}.json")
+            assert list(model.metadata) == list(loaded.metadata) == [
+                "seed", "learning_rate", "best_epoch", "best_val_sse", "modality", "network",
+                "shift_conversion",
+            ]
             assert loaded.metadata["modality"] == row.modality
             frames = loaded.metadata["shift_conversion"]["test_shift_frames"]
             shifts.add(frames)
@@ -775,6 +784,53 @@ class TestReports:
                 b.modality, b.network, b.shift_frames, b.seed
             )
             assert b.val_ccc == pytest.approx(a.val_ccc, abs=5e-5)
+
+    def test_csv_round_trip_keeps_every_cell(self, tmp_path):
+        table = ResultsTable(rows=[
+            ResultRow("arousal", "fused", "blstm", 69, 8, 1e30, status="div",
+                      train_corpus="a", test_corpus="b"),
+            ResultRow("arousal", "speech", "lstm", 69, 7, 1e-3, val_ccc=0.25,
+                      train_corpus="a"),
+            ResultRow("valence", "gaze", "lstm", 78, 7, 1e-5, val_ccc=-0.125, test_ccc=0.5,
+                      train_corpus="a", test_corpus="b"),
+        ])
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        save_results_csv(table, first)
+        save_results_csv(load_results_csv(first), second)
+        assert first.read_bytes() == second.read_bytes() == (
+            "dimension,modality,network,shift_frames,seed,learning_rate,"
+            "val_ccc,test_ccc,train_corpus,test_corpus,status\r\n"
+            "arousal,fused,blstm,69,8,1e+30,div,,a,b,div\r\n"
+            "arousal,speech,lstm,69,7,0.001,0.2500,,a,,ok\r\n"
+            "valence,gaze,lstm,78,7,1e-05,-0.1250,0.5000,a,b,ok\r\n"
+        ).encode()
+
+    def test_older_csv_reads_with_column_defaults(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("dimension,modality,network,shift_frames,seed,learning_rate,"
+                        "val_ccc,test_ccc\narousal,speech,lstm,69,7,0.001,0.2500,\n")
+        [row] = load_results_csv(path).rows
+        assert row == ResultRow("arousal", "speech", "lstm", 69, 7, 1e-3, val_ccc=0.25)
+        assert (row.test_ccc, row.status, row.train_corpus, row.test_corpus) == (None, "ok", "", "")
+
+    @pytest.mark.parametrize(
+        "cccs, statuses, bold",
+        [
+            ((0.5, 0.5, 0.1), ("ok", "ok", "ok"), 0),  # the first of two equal best rows
+            ((math.nan, 0.1, 0.2), ("div", "ok", "ok"), 2),
+            ((math.nan, 0.1, 0.2), ("ok", "ok", "ok"), 2),  # an ok row read back with no CCC
+            ((0.9, 0.1, 0.2), ("div", "ok", "ok"), 2),
+        ],
+    )
+    def test_markdown_bolds_the_first_best_ok_row(self, tmp_path, cccs, statuses, bold):
+        table = ResultsTable(rows=[
+            ResultRow("arousal", "speech", "lstm", 0, seed, 1e-3, val_ccc=c, status=status)
+            for seed, c, status in zip((1, 2, 3), cccs, statuses)
+        ])
+        path = tmp_path / "report.md"
+        render_report(table, "markdown", path)
+        rows = path.read_text().splitlines()[2:]
+        assert ["**" in line for line in rows] == [i == bold for i in range(3)]
 
     def test_nan_ccc_rendered_as_div(self, tmp_path):
         table = ResultsTable(rows=[
