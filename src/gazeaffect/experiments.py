@@ -41,7 +41,7 @@ from .network import (
 )
 from .timeline import (
     DIMENSIONS, GAZE_COLUMNS, AnnotationTrace, CorpusManifest, FeatureMatrix, Nullable, Required,
-    _bool, _each, _float, _int, _list, _path, _str, load_annotation_csv, load_corpus_manifest,
+    _bool, _float, _int, _list, _path, _str, load_annotation_csv, load_corpus_manifest,
     load_feature_csv, load_gaze_log_csv, open_output, read_fields, read_json,
 )
 
@@ -72,11 +72,15 @@ class NetworkChoice:
 
 @dataclass
 class ShiftSettings:
-    anchor_frames: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_ANCHOR_FRAMES))
-    chosen_frames: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_CHOSEN_FRAMES))
+    anchor_frames: dict[str, int] = field(default_factory=dict)
+    chosen_frames: dict[str, int] = field(default_factory=dict)
     range_seconds: float = 1.0
     stride_frames: int = 3
     cross_overrides: dict[str, int | None] = field(default_factory=dict)
+
+    def __post_init__(self):  # a dimension that a map leaves out takes the protocol's value
+        self.anchor_frames = {**DEFAULT_ANCHOR_FRAMES, **self.anchor_frames}
+        self.chosen_frames = {**DEFAULT_CHOSEN_FRAMES, **self.chosen_frames}
 
 
 @dataclass
@@ -85,7 +89,7 @@ class ExperimentConfig:
     test_manifest: Path | None = None
     dimension: str = "arousal"
     modalities: tuple[str, ...] = MODALITIES
-    window_seconds: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WINDOW_SECONDS))
+    window_seconds: dict[str, float] = field(default_factory=dict)
     shift: ShiftSettings = field(default_factory=ShiftSettings)
     networks: tuple[NetworkChoice, ...] = tuple(
         NetworkChoice(n["kind"], tuple(n["sizes"])) for n in DEFAULT_NETWORKS
@@ -105,6 +109,13 @@ class ExperimentConfig:
         for m in self.modalities:
             if m not in MODALITIES:
                 raise ConfigError(f"unknown modality {m!r}")
+        self.window_seconds = {**DEFAULT_WINDOW_SECONDS, **self.window_seconds}
+        maps = {"window_seconds": self.window_seconds, "gaze_columns": self.gaze_columns or {},
+                **{f"shift.{k}": v for k, v in vars(self.shift).items() if isinstance(v, dict)}}
+        unknown = [f"{name}.{key}" for name, keys in maps.items() for key in keys
+                   if key not in (GAZE_COLUMNS if name == "gaze_columns" else DIMENSIONS)]
+        if unknown:  # worded as read_fields words them: a misspelt key must not read as absent
+            raise ConfigError("unknown config field(s) " + ", ".join(map(repr, unknown)))
         if not all(0 < w < math.inf for w in self.window_seconds.values()):
             raise ConfigError(f"config field 'window_seconds' needs finite seconds > 0, "
                               f"got {self.window_seconds}")
@@ -114,7 +125,7 @@ class ExperimentConfig:
         if self.shift.stride_frames < 1:
             raise ConfigError(f"config field 'shift.stride_frames' needs frames >= 1, "
                               f"got {self.shift.stride_frames}")
-        for name in ("chosen_frames", "cross_overrides"):  # a None override converts the shift
+        for name in ("anchor_frames", "chosen_frames", "cross_overrides"):  # None: convert it
             frames = getattr(self.shift, name)
             if any(v is not None and v < 0 for v in frames.values()):
                 raise ConfigError(f"config field 'shift.{name}' needs frames >= 0, got {frames}")
@@ -174,13 +185,13 @@ CONFIG_SCHEMA = {
     "test_manifest": Nullable(_path),
     "dimension": _str,
     "modalities": _list(_str),
-    "window_seconds": (_each(_float, DEFAULT_WINDOW_SECONDS), DIMENSIONS),
+    "window_seconds": dict.fromkeys(DIMENSIONS, _float),
     "shift": {
-        "anchor_frames": (_each(_int, DEFAULT_ANCHOR_FRAMES), DIMENSIONS),
-        "chosen_frames": (_each(_int, DEFAULT_CHOSEN_FRAMES), DIMENSIONS),
+        "anchor_frames": dict.fromkeys(DIMENSIONS, _int),
+        "chosen_frames": dict.fromkeys(DIMENSIONS, _int),
         "range_seconds": _float,
         "stride_frames": _int,
-        "cross_overrides": (_each(lambda v: v if v is None else _int(v)), DIMENSIONS),
+        "cross_overrides": dict.fromkeys(DIMENSIONS, Nullable(_int)),
     },
     "networks": [{"kind": Required(_str), "sizes": Required(_list(_int))}],
     "training": {
@@ -189,7 +200,7 @@ CONFIG_SCHEMA = {
         "max_epochs": _int,
         "patience_epochs": _int,
     },
-    "gaze_columns": Nullable((_each(_str), GAZE_COLUMNS)),
+    "gaze_columns": Nullable(dict.fromkeys(GAZE_COLUMNS, _str)),
     "out_dir": _path,
     "jobs": _int,
     "cross_both_directions": _bool,
@@ -482,13 +493,11 @@ def sweep_shifts(config: ExperimentConfig, fps: float, trace_frames: int) -> lis
     stride = config.shift.stride_frames
     reach = config.shift.range_seconds * fps
     steps = int(round(reach)) // stride if reach < math.inf else math.inf
-    if steps * stride >= trace_frames - anchor:
+    if steps * stride >= trace_frames - anchor:  # first: a grid that fits has few steps
         # the smallest k >= -steps with anchor + k * stride >= trace_frames
         k = max(-steps, -((anchor - trace_frames) // stride))
         raise DataError(f"shift of {anchor + k * stride} frames >= trace length {trace_frames}")
-    low = max(-steps, -anchor // stride + 1)  # the lowest k whose shift is positive
-    zero = [0] if anchor - steps * stride <= 0 else []
-    return zero + list(range(anchor + low * stride, anchor + steps * stride + 1, stride))
+    return sorted({max(0, anchor + k * stride) for k in range(-steps, steps + 1)})
 
 
 def run_shift_sweep(

@@ -348,13 +348,16 @@ def predict(params: NetworkParams, spec: NetworkSpec, x: np.ndarray) -> np.ndarr
     return _readout(params, current)
 
 
-def _checked_input(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
+def _checked_input(spec: NetworkSpec, x: np.ndarray, targets=None) -> np.ndarray:
+    """x as floats of the network's input width (and of the targets' length, if given)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise DataError(
             f"input width {x.shape[-1] if x.ndim == 2 else '?'} != "
             f"network input_dim {spec.input_dim}"
         )
+    if targets is not None and len(targets) != len(x):
+        raise DataError(f"target length {len(targets)} != sequence length {len(x)}")
     return x
 
 
@@ -373,17 +376,12 @@ def bptt_gradients(
     Returns (gradients as a NetworkParams, loss).
     """
     targets = np.asarray(targets, dtype=float)
-    caches, last_h = [], _checked_input(spec, x)
+    caches, last_h = [], _checked_input(spec, x, targets)  # before any forward work
     for dw in params.stacked:  # the forward pass, keeping each layer's cache
         last_h, cache = _layer_forward(dw, last_h)
         caches.append(cache)
     del cache  # so the backward pass below frees the top layer's cache too
-    preds = _readout(params, last_h)
-    if len(targets) != len(preds):
-        raise DataError(
-            f"target length {len(targets)} != sequence length {len(preds)}"
-        )
-    err = preds - targets
+    err = _readout(params, last_h) - targets
     loss = float(np.sum(err**2))
     dy = 2.0 * err  # (N,)
     grads = NetworkParams(spec)
@@ -409,7 +407,7 @@ def evaluate_sse(
     """Noise-free total SSE of the network over a dataset of (x, y) sequences."""
     total = 0.0
     for x, y in dataset:
-        preds = predict(params, spec, x)
+        preds = predict(params, spec, _checked_input(spec, x, y))
         total += float(np.sum((preds - np.asarray(y, dtype=float)) ** 2))
     return total
 

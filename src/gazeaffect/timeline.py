@@ -192,9 +192,8 @@ class Nullable:  # a schema rule that also reads null, as None
 
 def read_fields(doc, schema: dict, error: type, what: str):
     """`doc` read by `schema`, which maps each key to its rule: a converter
-    (raising TypeError or ValueError on a bad value); (converter, keys) for an
-    object whose keys must be among `keys`, converted whole; a schema dict for
-    an object read by it (a section); [schema dict] for a list of sections;
+    (raising TypeError or ValueError on a bad value); a schema dict for an
+    object read by it (a section); [schema dict] for a list of sections;
     Required(rule) or Nullable(rule). An absent key is absent from the result.
     A malformed value raises `error` naming its dotted path (as in
     `recordings.0.fps`); so do the keys that no rule names, all at once."""
@@ -217,19 +216,16 @@ def _walk(value, rule, error: type, what: str, where: str, unknown: list[str]):
             raise error(f"{named} must be a JSON list, not {type(value).__name__}")
         return [_walk(item, rule[0], error, what, f"{where}.{i}", unknown)
                 for i, item in enumerate(value)]
-    if isinstance(rule, (dict, tuple)) and not isinstance(value, dict):
-        raise error(f"{named} must be a JSON object, not {type(value).__name__}")
-    prefix = f"{where}." if where else ""
     if isinstance(rule, dict):
+        if not isinstance(value, dict):
+            raise error(f"{named} must be a JSON object, not {type(value).__name__}")
         for key, r in rule.items():
             if isinstance(r, Required) and key not in value:
                 raise error(f"{named} missing required field {key!r}")
+        prefix = f"{where}." if where else ""
         unknown += [prefix + k for k in value if k not in rule]
         return {k: _walk(v, rule[k], error, what, prefix + k, unknown)
                 for k, v in value.items() if k in rule}
-    if isinstance(rule, tuple):
-        rule, keys = rule
-        unknown += [prefix + k for k in value if k not in keys]
     try:
         return rule(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -282,11 +278,6 @@ def _one_of(*options):
     return check
 
 
-def _each(convert, defaults=None):
-    """convert applied to every value of a JSON object, merged over defaults."""
-    return lambda section: {**(defaults or {}), **{k: convert(v) for k, v in section.items()}}
-
-
 def _list(convert, length=None):
     """convert applied to every item of a JSON list (of `length` items, if
     given); a string or number is not a list."""
@@ -306,7 +297,7 @@ MANIFEST_SCHEMA = {
         "fps": Required(_positive),
         "speech": Required(_path),
         "gaze": Required(_path),
-        "annotations": Required((_each(_path), DIMENSIONS)),
+        "annotations": Required(dict.fromkeys(DIMENSIONS, _path)),
     }]),
 }
 

@@ -354,7 +354,7 @@ class TestExperimentsCommands:
         code = run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "'shift.chosen_frames'" in err and "Traceback" not in err
+        assert "'shift.chosen_frames.arousal'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -474,13 +474,13 @@ class TestExperimentsCommands:
             (lambda doc: doc["recordings"][0].update(annotations=["x"]),
              "'recordings.0.annotations'"),
             (lambda doc: doc["recordings"][0].update(annotations={"arousal": 5}),
-             "'recordings.0.annotations'"),
+             "'recordings.0.annotations.arousal'"),
             (lambda doc: doc["recordings"][0].update(id=[1]), "'recordings.0.id'"),
             (lambda doc: doc["recordings"][2].update(speech=5), "'recordings.2.speech'"),
             (lambda doc: doc["recordings"][0].update(gaze=None), "'recordings.0.gaze'"),
             (lambda doc: doc["recordings"][0].update(gaze="a\0b.csv"), "'recordings.0.gaze'"),
             (lambda doc: doc["recordings"][3]["annotations"].update(arousal="a\0b.csv"),
-             "'recordings.3.annotations'"),
+             "'recordings.3.annotations.arousal'"),
             (lambda doc: doc["recordings"].__setitem__(
                 0, "id partition fps speech gaze annotations"), "'recordings.0' must be a JSON object"),
             (lambda doc: doc.update(corpus=None),

@@ -143,7 +143,8 @@ class TestConfig:
             pytest.param({"networks": [{"kind": "lstm", "sizes": ["x"]}]}, "networks.0.sizes",
                          id="extra2-networks"),
             ({"training": {"seeds": 7}}, "training.seeds"),
-            ({"window_seconds": {"arousal": "long"}}, "window_seconds"),
+            pytest.param({"window_seconds": {"arousal": "long"}}, "window_seconds.arousal",
+                         id="extra4-window_seconds"),
             ({"jobs": None}, "jobs"),
             ({"train_manifest": 3}, "train_manifest"),
             ({"training": {"max_epochs": 2.9}}, "training.max_epochs"),
@@ -154,15 +155,19 @@ class TestConfig:
             ({"shift": {"stride_frames": 3.5}}, "shift.stride_frames"),
             pytest.param({"networks": [{"kind": "lstm", "sizes": [8.0]}]}, "networks.0.sizes",
                          id="extra13-networks"),
-            ({"shift": {"anchor_frames": {"arousal": 2.5}}}, "shift.anchor_frames"),
-            ({"shift": {"chosen_frames": {"arousal": "3"}}}, "shift.chosen_frames"),
-            ({"shift": {"cross_overrides": {"arousal": False}}}, "shift.cross_overrides"),
+            pytest.param({"shift": {"anchor_frames": {"arousal": 2.5}}},
+                         "shift.anchor_frames.arousal", id="extra14-shift.anchor_frames"),
+            pytest.param({"shift": {"chosen_frames": {"arousal": "3"}}},
+                         "shift.chosen_frames.arousal", id="extra15-shift.chosen_frames"),
+            pytest.param({"shift": {"cross_overrides": {"arousal": False}}},
+                         "shift.cross_overrides.arousal", id="extra16-shift.cross_overrides"),
             ({"shift": {"chosen_frames": {"arousal": -3}}}, "shift.chosen_frames"),
             ({"shift": {"cross_overrides": {"arousal": -1}}}, "shift.cross_overrides"),
             ({"cross_both_directions": "false"}, "cross_both_directions"),
             ({"cross_both_directions": 1}, "cross_both_directions"),
             ({"window_seconds": {"arousal": 0}}, "window_seconds"),
-            ({"window_seconds": {"valence": float("nan")}}, "window_seconds"),
+            pytest.param({"window_seconds": {"valence": float("nan")}}, "window_seconds.valence",
+                         id="extra22-window_seconds"),
             ({"shift": {"range_seconds": -0.5}}, "shift.range_seconds"),
             ({"modalities": "speech"}, "modalities"),
             ({"shift": {"stride_frames": 0}}, "shift.stride_frames"),
@@ -179,18 +184,22 @@ class TestConfig:
             ({"out_dir": "o\u0000"}, "out_dir"),
             ({"training": {"seeds": [-1]}}, "training.seeds"),
             ({"training": {"seeds": [1, -1]}}, "training.seeds"),
-            ({"gaze_columns": {"h": ["x"]}}, "gaze_columns"),
+            pytest.param({"gaze_columns": {"h": ["x"]}}, "gaze_columns.h",
+                         id="extra39-gaze_columns"),
             ({"gaze_columns": {"h": "h", "bogus": "z"}}, "gaze_columns.bogus"),
-            ({"window_seconds": {"arousal": 10**400}}, "window_seconds"),
+            pytest.param({"window_seconds": {"arousal": 10**400}}, "window_seconds.arousal",
+                         id="extra41-window_seconds"),
             ({"training": {"learning_rates": [10**400]}}, "training.learning_rates"),
             ({"shift": {"range_seconds": True}}, "shift.range_seconds"),
-            ({"window_seconds": {"arousal": "4"}}, "window_seconds"),
+            pytest.param({"window_seconds": {"arousal": "4"}}, "window_seconds.arousal",
+                         id="extra44-window_seconds"),
             ({"training": {"learning_rates": [False]}}, "training.learning_rates"),
             ({"test_manifest": False}, "test_manifest"),
             ({"networks": [{"kind": "lstm", "sizes": [4], "dropout": 0.5}]},
              "networks.0.dropout"),
             ({"networks": [{"kind": 4, "sizes": [4]}]}, "networks.0.kind"),
             ({"train_manifest": "m\udd00.json"}, "train_manifest"),
+            ({"shift": {"anchor_frames": {"arousal": -50}}}, "shift.anchor_frames"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):
@@ -219,6 +228,19 @@ class TestConfig:
             "unknown config field(s) 'shfit', 'training.momentum', "
             "'shift.chosen_frames.arousl', 'gaze_columns.bogus'"
         )
+
+    def test_partial_maps_merge_over_defaults_in_dimension_order(self, tmp_path, corpus_dir):
+        doc = {
+            "train_manifest": str(corpus_dir / "manifest.json"),
+            "window_seconds": {"valence": 2.0},
+            "shift": {"anchor_frames": {"valence": 40, "arousal": 3},
+                      "cross_overrides": {"valence": 1, "arousal": None}},
+        }
+        config = ExperimentConfig.from_dict(doc, base=tmp_path)
+        assert list(config.window_seconds.items()) == [("arousal", 4.0), ("valence", 2.0)]
+        assert list(config.shift.anchor_frames.items()) == [("arousal", 3), ("valence", 40)]
+        assert list(config.shift.chosen_frames.items()) == [("arousal", 69), ("valence", 78)]
+        assert list(config.shift.cross_overrides.items()) == [("valence", 1), ("arousal", None)]
 
     @pytest.mark.parametrize("columns", [None, {"h": "gx"}])
     def test_gaze_columns_null_or_partial(self, tmp_path, corpus_dir, columns):
@@ -250,6 +272,15 @@ class TestConfig:
              "'shift.chosen_frames' needs frames >= 0"),
             (dict(shift=ShiftSettings(cross_overrides={"arousal": None, "valence": -1})),
              "'shift.cross_overrides' needs frames >= 0"),
+            (dict(shift=ShiftSettings(anchor_frames={"arousal": -50})),
+             "'shift.anchor_frames' needs frames >= 0"),
+            (dict(window_seconds={"Arousal": 4.0}),
+             r"^unknown config field\(s\) 'window_seconds.Arousal'$"),
+            (dict(gaze_columns={"h": "x", "bogus": "z"}),
+             r"^unknown config field\(s\) 'gaze_columns.bogus'$"),
+            (dict(shift=ShiftSettings(chosen_frames={"valance": 3}, cross_overrides={"arousl": 1})),
+             r"^unknown config field\(s\) 'shift.chosen_frames.valance', "
+             r"'shift.cross_overrides.arousl'$"),
         ],
     )
     def test_grid_values_are_config_errors(self, corpus_dir, overrides, message):
@@ -320,7 +351,7 @@ class TestSweepGrid:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.integers(-40, 120), st.integers(1, 12), st.floats(0, 3), st.sampled_from([25.0, 30.0]),
+        st.integers(0, 120), st.integers(1, 12), st.floats(0, 3), st.sampled_from([25.0, 30.0]),
         st.integers(1, 200),
     )
     def test_matches_enumerated_grid(self, anchor, stride, range_seconds, fps, trace_frames):
@@ -338,6 +369,15 @@ class TestSweepGrid:
             with pytest.raises(DataError) as excinfo:
                 sweep_shifts(config, fps, trace_frames)
             assert str(excinfo.value) == f"shift of {first} frames >= trace length {trace_frames}"
+
+    def test_code_built_map_fills_missing_dimensions(self):
+        # a valence config whose anchors name only arousal sweeps the protocol's valence band
+        config = ExperimentConfig(
+            train_manifest=Path("manifest.json"), dimension="valence",
+            shift=ShiftSettings(anchor_frames={"arousal": 5}, range_seconds=0.12),
+        )
+        assert config.shift.anchor_frames == {"arousal": 5, "valence": 78}
+        assert sweep_shifts(config, 25.0, 200) == [75, 78, 81]
 
     @pytest.mark.parametrize("range_seconds", [1e5, 1e300, 1.7e308])
     def test_huge_range_rejected_before_the_grid_is_built(self, corpus_dir, range_seconds):

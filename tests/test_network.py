@@ -345,6 +345,15 @@ class TestGradients:
         with pytest.raises(DataError):
             bptt_gradients(params, spec, np.zeros((5, 5)), np.zeros(4))
 
+    def test_length_checked_before_the_forward_pass(self, monkeypatch):
+        def no_forward(*args):
+            raise AssertionError("the forward pass ran")
+
+        monkeypatch.setattr(nw, "_layer_forward", no_forward)
+        spec = small_spec()
+        with pytest.raises(DataError, match=r"^target length 4 != sequence length 5$"):
+            bptt_gradients(init_network(spec, 0), spec, np.zeros((5, 5)), np.zeros(4))
+
     def test_no_input_gradient_for_first_layer(self, monkeypatch):
         real = nw._input_gradient
         widths = []
@@ -443,6 +452,17 @@ def teachable_task(seed=42, n=200, lag=3):
 
 
 class TestTraining:
+    @pytest.mark.parametrize("val_frames", [1, 7])
+    def test_validation_target_length_mismatch(self, val_frames):
+        # a length-1 target once broadcast over the 20 frames and trained silently
+        rng = np.random.default_rng(0)
+        spec = small_spec("lstm", (4,), input_dim=2)
+        train = [(rng.normal(size=(20, 2)), rng.normal(size=20))]
+        val = [(rng.normal(size=(20, 2)), rng.normal(size=val_frames))]
+        config = TrainConfig(learning_rate=1e-3, seed=1, max_epochs=3, patience_epochs=2)
+        with pytest.raises(DataError, match=rf"^target length {val_frames} != sequence length 20$"):
+            train_network(spec, train, val, config)
+
     def test_plateau_stops_at_best_plus_patience(self, monkeypatch):
         # Validation SSE improves through epoch 5 then freezes: training must
         # stop at epoch 25 and return the epoch-5 parameters.

@@ -5,9 +5,9 @@ Every fault that a document's schema dict derives (CONFIG_SCHEMA,
 MANIFEST_SCHEMA, and MODEL_SCHEMA with the weights schema of its spec) is
 applied, one at a time and in every example, to a valid document: a value
 replaced by one of another JSON type (a leaf, a list, a section or the whole
-document), a required key removed, or an unknown key added to a section or a
-keyed map. Hypothesis draws the values; a byte that is not UTF-8 goes in at
-a drawn position. `train` and `sweep` must reject each faulty config with
+document), a required key removed, or an unknown key added to a section (a
+per-dimension map is one). Hypothesis draws the values; a byte that is not
+UTF-8 goes in at a drawn position. `train` and `sweep` must reject each faulty config with
 exit 1 and each faulty manifest with exit 2, in one line of stderr and
 without a traceback; `load_model` must raise DataError. Every path of either
 document replaced by one that holds a line break and names nothing usable
@@ -75,7 +75,7 @@ def faults(doc, rule, path=()):
         rule = rule.rule
     if isinstance(rule, Nullable):
         rule, nullable = rule.rule, True
-    if isinstance(rule, (dict, tuple)):  # a section, or a map whose keys are fixed
+    if isinstance(rule, dict):
         yield "not an object", path, nullable
         yield "extra key", path, nullable
     else:
@@ -88,9 +88,6 @@ def faults(doc, rule, path=()):
     elif isinstance(rule, list):
         for i, item in enumerate(doc):
             yield from faults(item, rule[0], path + (i,))
-    elif isinstance(rule, tuple):  # null is not a valid value of any map in the base documents
-        for key in doc:
-            yield "wrong type", path + (key,), False
 
 
 def path_leaves(doc, root: str, path=()):
