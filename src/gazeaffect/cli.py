@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 training
-divergence in a non-sweep run.
+divergence in a non-sweep run, 4 out of resources (a failed allocation or a
+dead pool worker).
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -289,6 +291,10 @@ def main(argv=None) -> None:
     except DataError as exc:
         click.echo(f"data error: {str(exc).translate(_ESCAPES)}", err=True)
         sys.exit(2)
+    except (MemoryError, BrokenProcessPool) as exc:  # a failed allocation, or a dead pool worker
+        reason = str(exc) or "out of memory"  # numpy's MemoryError names the allocation
+        click.echo(f"resource error: {reason.translate(_ESCAPES)}", err=True)
+        sys.exit(4)
     sys.exit(0)
 
 

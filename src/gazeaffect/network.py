@@ -195,15 +195,26 @@ def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     return params
 
 
-def _direction_forward(dw: DirectionWeights, x: np.ndarray):
-    """Step every direction in dw over its input in one time loop.
+def _join(parts: list, axis: int) -> np.ndarray:
+    """The per-direction parts of a layer joined along `axis`; a layer with
+    one direction gets its one part back, a view, not a copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
-    dw's arrays and x (..., N, D) share their leading axes, one weight set
-    per index (x may broadcast). Returns hidden states (..., N, H) and the
-    cache that BPTT reads. The buffers are time-major, (N, ..., width), so
-    each step reads and writes contiguous rows; the gate buffer is
-    (N, 4, ..., H), gate-major in step order.
+
+def _layer_forward(dw: DirectionWeights, x: np.ndarray):
+    """Step every direction of one layer over its input in one time loop,
+    the backward one over the reversed input, and concatenate their outputs.
+
+    dw's arrays (..., directions, 4H, ·) and x (..., N, D) share their
+    leading axes, one weight set per index (x may broadcast). Returns the
+    output (..., N, directions * H) and the cache that BPTT reads. The
+    buffers are time-major, (N, ..., directions, width), so each step reads
+    and writes contiguous rows; the gate buffer is (N, 4, ..., H),
+    gate-major in step order. With one direction the cached input is x and
+    the output a view of the cached hidden states.
     """
+    times = _DIRECTION_TIME[: dw.b.shape[-2]]
+    x = _join([x[..., None, s, :] for s in times], -3)
     h_dim = dw.hidden
     lead = np.broadcast_shapes(x.shape[:-2], dw.b.shape[:-1])
     # Input products for all frames in theta's gate order, then re-laid
@@ -242,20 +253,28 @@ def _direction_forward(dw: DirectionWeights, x: np.ndarray):
             c += np.multiply(i, g, out=ig)
             h = np.tanh(c, out=h_t)
             h *= o
-    return np.moveaxis(hs, 0, -2), (x, gates, cs, hs)
+    # The loop's own buffers and views go before the output is joined.
+    del r, rec, rec_gates, ig, quad, steps, z, logistic, i, f, o, g, c_t, h_t, h, c
+    out = np.moveaxis(hs, 0, -2)
+    return _join([out[..., k, s, :] for k, s in enumerate(times)], -1), (x, gates, cs, hs)
 
 
-def _direction_backward(
-    dw: DirectionWeights, cache, d_hs: np.ndarray, grad: DirectionWeights
+def _layer_backward(
+    dw: DirectionWeights, cache, d_out: np.ndarray, grad: DirectionWeights, input_grad: bool
 ):
-    """BPTT through every direction in dw; writes the parameter gradients
-    into grad's arrays and returns the gate deltas (..., N, 4H) in theta order.
+    """BPTT through every direction of one layer; writes the parameter
+    gradients into grad's arrays and returns the gradient of the layer's
+    input (None without `input_grad`): a view for one direction, a fresh sum
+    for two, so the product holding both parts is freed.
 
     Everything but the dh and dc recurrences is computed for the whole
     sequence before the time loop; the cache's buffers are overwritten.
     """
-    x, gates, cs, hs = cache
+    times = _DIRECTION_TIME[: dw.b.shape[-2]]
     h_dim = dw.hidden
+    d_hs = _join([d_out[..., None, s, k * h_dim : (k + 1) * h_dim]
+                  for k, s in enumerate(times)], -3)
+    x, gates, cs, hs = cache
     i, f, o, g = np.moveaxis(gates, 1, 0)
     quad = i.shape[:-1] + (4, h_dim)
     # dz holds each frame's delta multipliers until the loop scales them into
@@ -296,43 +315,15 @@ def _direction_backward(
     np.matmul(dz_t, x, out=grad.w)
     np.matmul(dz_t[..., 1:], np.moveaxis(hs[:-1], 0, -2), out=grad.r)
     dz_all.sum(axis=-2, out=grad.b)
-    return dz_all
-
-
-def _join(parts: list, axis: int) -> np.ndarray:
-    """The per-direction parts of a layer joined along `axis`; a layer with
-    one direction gets its one part back, a view, not a copy."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-
-
-def _layer_forward(dw: DirectionWeights, x: np.ndarray):
-    """Run all directions of one layer (dw arrays (..., directions, 4H, ·))
-    in one time loop and concatenate their outputs. With one direction the
-    cached input is x and the output a view of the cached hidden states."""
-    steps = _DIRECTION_TIME[: dw.b.shape[-2]]
-    hs, cache = _direction_forward(dw, _join([x[..., None, s, :] for s in steps], -3))
-    return _join([hs[..., k, s, :] for k, s in enumerate(steps)], -1), cache
-
-
-def _layer_backward(
-    dw: DirectionWeights, cache, d_out: np.ndarray, grad: DirectionWeights
-):
-    """BPTT through one layer; writes its gradients into grad and returns
-    the gate deltas of its directions."""
-    steps = _DIRECTION_TIME[: dw.b.shape[-2]]
-    h = dw.hidden
-    d_hs = _join([d_out[..., None, s, k * h : (k + 1) * h] for k, s in enumerate(steps)], -3)
-    return _direction_backward(dw, cache, d_hs, grad)
-
-
-def _input_gradient(dw: DirectionWeights, dz: np.ndarray) -> np.ndarray:
-    """Gradient of a layer's input from the gate deltas of its directions. One
-    direction gets a view of its part; two get a fresh sum, so the product
-    holding both parts is freed."""
-    dxs = dz @ dw.w
-    if dw.b.shape[-2] == 1:
+    # The cache's buffers (hs, cs, gates, x, then d_hs) and every view of them,
+    # loop variables included, go before the product.
+    del steps, d_h, dc_dh_t, f_t, i, f, o, g, a, tc, dc_dh, cache, hs, cs, gates, x, d_hs
+    if not input_grad:
+        return None
+    dxs = dz_all @ dw.w
+    if len(times) == 1:
         return dxs[..., 0, :, :]
-    return dxs[..., 0, :, :] + dxs[..., 1, _DIRECTION_TIME[1], :]
+    return dxs[..., 0, :, :] + dxs[..., 1, times[1], :]
 
 
 def predict(params: NetworkParams, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
@@ -388,11 +379,9 @@ def bptt_gradients(
     grads.w_out[...] = last_h.T @ dy
     grads.theta[-1] = dy.sum()
     d_h = np.outer(dy, params.w_out)
-    for dw, grad in zip(reversed(params.stacked), reversed(grads.stacked)):
-        dz = _layer_backward(dw, caches.pop(), d_h, grad)  # frees each cache after use
-        if caches:  # layer 0's input gradient is never read
-            d_h = _input_gradient(dw, dz)
-        del dz  # the deltas go before the next layer's backward starts
+    for layer in reversed(range(len(caches))):  # layer 0's input gradient is never read
+        d_h = _layer_backward(params.stacked[layer], caches.pop(), d_h, grads.stacked[layer],
+                              layer > 0)
     return grads, loss
 
 

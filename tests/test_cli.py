@@ -1,9 +1,12 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -694,3 +697,34 @@ class TestUnwritableOutput:
         no_training(monkeypatch)
         assert run_cli(["train", "--config", str(config), "--out-dir", str(out)]) == 2
         assert (out / "intra_results.csv").read_text() == "kept\n"
+
+
+class TestResourceFailures:
+    def test_failed_allocation_exit_4_on_one_line(self, corpus_dir, tmp_path, capsys):
+        # The config sets no size limit, so 10,000,000 units pass it; their
+        # weights would take 2.84 PiB, so the allocation fails at once and
+        # takes no memory.
+        config = write_config(tmp_path / "c.json", corpus_dir,
+                              networks=[{"kind": "lstm", "sizes": [10_000_000]}])
+        capsys.readouterr()
+        assert run_cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: Unable to allocate"), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    def test_dead_worker_exit_4_on_one_line(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        # A pool worker that exits mid-task, as one killed for lack of memory
+        # does: forked workers inherit the patched run_task. Two workers.
+        def exit_at_once(task):
+            os._exit(9)
+
+        monkeypatch.setattr(experiments, "run_task", exit_at_once)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                            partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        config = write_config(tmp_path / "c.json", corpus_dir)
+        capsys.readouterr()
+        assert run_cli(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "o"),
+                        "--jobs", "2", "--modality", "speech"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("resource error: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
