@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
@@ -41,8 +41,9 @@ from .network import (
 )
 from .timeline import (
     DIMENSIONS, GAZE_COLUMNS, AnnotationTrace, CorpusManifest, FeatureMatrix, Nullable, Required,
-    _bool, _float, _int, _list, _path, _str, load_annotation_csv, load_corpus_manifest,
-    load_feature_csv, load_gaze_log_csv, open_output, read_fields, read_json,
+    _at_least, _bool, _distinct, _float, _int, _list, _one_of, _path, _positive, _str,
+    load_annotation_csv, load_corpus_manifest, load_feature_csv, load_gaze_log_csv, open_output,
+    read_fields, read_json,
 )
 
 MODALITIES = ("speech", "gaze", "fused")
@@ -71,29 +72,21 @@ class NetworkChoice:
 
 
 @dataclass
-class ShiftSettings:
-    anchor_frames: dict[str, int] = field(default_factory=dict)
-    chosen_frames: dict[str, int] = field(default_factory=dict)
-    range_seconds: float = 1.0
-    stride_frames: int = 3
-    cross_overrides: dict[str, int | None] = field(default_factory=dict)
-
-    def __post_init__(self):  # a dimension that a map leaves out takes the protocol's value
-        self.anchor_frames = {**DEFAULT_ANCHOR_FRAMES, **self.anchor_frames}
-        self.chosen_frames = {**DEFAULT_CHOSEN_FRAMES, **self.chosen_frames}
-
-
-@dataclass
 class ExperimentConfig:
+    """One experiment: a field for each key of CONFIG_SCHEMA and of its sections,
+    holding what a config file holds (or a Path, a tuple, a NetworkChoice)."""
+
     train_manifest: Path
     test_manifest: Path | None = None
     dimension: str = "arousal"
     modalities: tuple[str, ...] = MODALITIES
     window_seconds: dict[str, float] = field(default_factory=dict)
-    shift: ShiftSettings = field(default_factory=ShiftSettings)
-    networks: tuple[NetworkChoice, ...] = tuple(
-        NetworkChoice(n["kind"], tuple(n["sizes"])) for n in DEFAULT_NETWORKS
-    )
+    anchor_frames: dict[str, int] = field(default_factory=dict)
+    chosen_frames: dict[str, int] = field(default_factory=dict)
+    range_seconds: float = 1.0
+    stride_frames: int = 3
+    cross_overrides: dict[str, int | None] = field(default_factory=dict)
+    networks: tuple[NetworkChoice, ...] = DEFAULT_NETWORKS  # each read into a NetworkChoice
     learning_rates: tuple[float, ...] = (1e-5,)
     seeds: tuple[int, ...] = (1787452436,)
     max_epochs: int = TrainConfig.max_epochs
@@ -104,44 +97,20 @@ class ExperimentConfig:
     cross_both_directions: bool = False
 
     def __post_init__(self):
-        if self.dimension not in DIMENSIONS:
-            raise ConfigError(f"unknown dimension {self.dimension!r}")
-        for m in self.modalities:
-            if m not in MODALITIES:
-                raise ConfigError(f"unknown modality {m!r}")
-        self.window_seconds = {**DEFAULT_WINDOW_SECONDS, **self.window_seconds}
-        maps = {"window_seconds": self.window_seconds, "gaze_columns": self.gaze_columns or {},
-                **{f"shift.{k}": v for k, v in vars(self.shift).items() if isinstance(v, dict)}}
-        unknown = [f"{name}.{key}" for name, keys in maps.items() for key in keys
-                   if key not in (GAZE_COLUMNS if name == "gaze_columns" else DIMENSIONS)]
-        if unknown:  # worded as read_fields words them: a misspelt key must not read as absent
-            raise ConfigError("unknown config field(s) " + ", ".join(map(repr, unknown)))
-        if not all(0 < w < math.inf for w in self.window_seconds.values()):
-            raise ConfigError(f"config field 'window_seconds' needs finite seconds > 0, "
-                              f"got {self.window_seconds}")
-        if not 0 <= self.shift.range_seconds < math.inf:
-            raise ConfigError(f"config field 'shift.range_seconds' needs finite seconds >= 0, "
-                              f"got {self.shift.range_seconds}")
-        if self.shift.stride_frames < 1:
-            raise ConfigError(f"config field 'shift.stride_frames' needs frames >= 1, "
-                              f"got {self.shift.stride_frames}")
-        for name in ("anchor_frames", "chosen_frames", "cross_overrides"):  # None: convert it
-            frames = getattr(self.shift, name)
-            if any(v is not None and v < 0 for v in frames.values()):
-                raise ConfigError(f"config field 'shift.{name}' needs frames >= 0, got {frames}")
+        # The config read as the document a file would hold: a file's rules and messages.
+        fields = _read_config(self.to_dict())
+        fields.update({key: Path(fields[key]) for key in _PATHS if fields[key] is not None})
+        fields["networks"] = tuple(NetworkChoice(**n) for n in fields["networks"])
+        # a dimension that a map leaves out takes the protocol's value
+        fields["window_seconds"] = {**DEFAULT_WINDOW_SECONDS, **fields["window_seconds"]}
+        fields["anchor_frames"] = {**DEFAULT_ANCHOR_FRAMES, **fields["anchor_frames"]}
+        fields["chosen_frames"] = {**DEFAULT_CHOSEN_FRAMES, **fields["chosen_frames"]}
+        vars(self).update(fields)
         if not (self.networks and self.learning_rates and self.seeds):
             raise ConfigError("network/learning-rate/seed grids must be non-empty")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"config field 'training.seeds' needs seeds >= 0, got {self.seeds}")
-        kinds = [net.kind for net in self.networks]  # a results row names its network by kind
-        for name, values in (("modalities", self.modalities), ("networks", kinds),
-                             ("training.learning_rates", self.learning_rates),
-                             ("training.seeds", self.seeds)):
-            if len(set(values)) < len(values):  # a repeat would train grid points twice
-                what = "kinds" if values is kinds else "values"
-                raise ConfigError(f"config field {name!r} needs distinct {what}, got {list(values)}")
-        if self.jobs < 1:
-            raise ConfigError(f"config field 'jobs' needs jobs >= 1, got {self.jobs}")
+        kinds = [net.kind for net in self.networks]
+        if len(set(kinds)) < len(kinds):  # a results row names its network by kind
+            raise ConfigError(f"config field 'networks' needs distinct kinds, got {kinds}")
         try:  # the network and training rules, checked before any data is read
             for net in self.networks:
                 net.build_spec(1)
@@ -158,6 +127,14 @@ class ExperimentConfig:
             patience_epochs=self.patience_epochs,
         )
 
+    def to_dict(self) -> dict:
+        """The config as the document a config file would hold, which from_dict
+        reads back: each path as a string, each network as an object, and the
+        shift and training fields in their sections."""
+        values = {k: str(v) if isinstance(v, Path) else v for k, v in asdict(self).items()}
+        return {key: {k: values[k] for k in rule} if key in _SECTIONS else values[key]
+                for key, rule in CONFIG_SCHEMA.items()}
+
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
@@ -168,41 +145,50 @@ class ExperimentConfig:
         """Build a config from the keys present in `doc`, read by CONFIG_SCHEMA;
         every absent key keeps its dataclass default. Relative paths resolve
         against `base`, and a key the schema does not name is a ConfigError."""
-        fields = {"out_dir": ".", **read_fields(doc, CONFIG_SCHEMA, ConfigError, "config")}
-        for key in ("train_manifest", "test_manifest", "out_dir"):
+        fields = {"out_dir": ".", **_read_config(doc)}
+        for key in _PATHS:
             if fields.get(key) is not None:
                 fields[key] = (base / fields[key]).resolve()
-        if "networks" in fields:
-            fields["networks"] = tuple(NetworkChoice(n["kind"], n["sizes"])
-                                       for n in fields["networks"])
-        fields.update(fields.pop("training", {}))
-        return cls(shift=ShiftSettings(**fields.pop("shift", {})), **fields)
+        return cls(**fields)
 
 
-# Each key of a config file and its rule (see timeline.read_fields).
+_PATHS = ("train_manifest", "test_manifest", "out_dir")
+_SECTIONS = ("shift", "training")  # the schema's sections whose keys are config fields
+
+
+def _read_config(doc) -> dict:
+    """doc read by CONFIG_SCHEMA, with the keys of its sections as its own."""
+    fields = read_fields(doc, CONFIG_SCHEMA, ConfigError, "config")
+    for section in _SECTIONS:
+        fields.update(fields.pop(section, {}))
+    return fields
+
+
+# Each key of a config file and its rule (see timeline.read_fields). The
+# entries of a grid must differ: a repeat would train its points twice.
 CONFIG_SCHEMA = {
     "train_manifest": Required(_path),
     "test_manifest": Nullable(_path),
-    "dimension": _str,
-    "modalities": _list(_str),
-    "window_seconds": dict.fromkeys(DIMENSIONS, _float),
+    "dimension": _one_of(*DIMENSIONS),
+    "modalities": _distinct(_list(_one_of(*MODALITIES))),
+    "window_seconds": dict.fromkeys(DIMENSIONS, _positive),
     "shift": {
-        "anchor_frames": dict.fromkeys(DIMENSIONS, _int),
-        "chosen_frames": dict.fromkeys(DIMENSIONS, _int),
-        "range_seconds": _float,
-        "stride_frames": _int,
-        "cross_overrides": dict.fromkeys(DIMENSIONS, Nullable(_int)),
+        "anchor_frames": dict.fromkeys(DIMENSIONS, _at_least(0)),
+        "chosen_frames": dict.fromkeys(DIMENSIONS, _at_least(0)),
+        "range_seconds": _at_least(0, _float),
+        "stride_frames": _at_least(1),
+        "cross_overrides": dict.fromkeys(DIMENSIONS, Nullable(_at_least(0))),
     },
     "networks": [{"kind": Required(_str), "sizes": Required(_list(_int))}],
     "training": {
-        "learning_rates": _list(_float),
-        "seeds": _list(_int),
+        "learning_rates": _distinct(_list(_float)),
+        "seeds": _distinct(_list(_at_least(0))),
         "max_epochs": _int,
         "patience_epochs": _int,
     },
     "gaze_columns": Nullable(dict.fromkeys(GAZE_COLUMNS, _str)),
     "out_dir": _path,
-    "jobs": _int,
+    "jobs": _at_least(1),
     "cross_both_directions": _bool,
 }
 
@@ -489,9 +475,9 @@ def sweep_shifts(config: ExperimentConfig, fps: float, trace_frames: int) -> lis
     """Shift grid: anchor + k * stride for |k| * stride <= range_seconds * fps,
     clamped at 0. A grid whose top shift does not fit a trace of `trace_frames`
     raises DataError naming its smallest shift that does not fit."""
-    anchor = config.shift.anchor_frames[config.dimension]
-    stride = config.shift.stride_frames
-    reach = config.shift.range_seconds * fps
+    anchor = config.anchor_frames[config.dimension]
+    stride = config.stride_frames
+    reach = config.range_seconds * fps
     steps = int(round(reach)) // stride if reach < math.inf else math.inf
     if steps * stride >= trace_frames - anchor:  # first: a grid that fits has few steps
         # the smallest k >= -steps with anchor + k * stride >= trace_frames
@@ -534,7 +520,7 @@ def run_intra_corpus(
     """Unimodal/bimodal runs at the chosen shift for every (modality, network)
     cell; reports the relative improvement of fused over the best unimodal."""
     name, recs = corpus = _load(config, config.train_manifest, config.modalities)
-    shift = config.shift.chosen_frames[config.dimension]
+    shift = config.chosen_frames[config.dimension]
     test_recs = [r for r in recs if r.partition == "test"]
     test = (name, test_recs, shift) if test_recs else None
     tasks = _grid(config, config.modalities, [shift], corpus, test)
@@ -571,8 +557,8 @@ def run_cross_corpus(config: ExperimentConfig) -> tuple[ResultsTable, list[Train
         raise ConfigError("cross-corpus run requires a test manifest")
     a = _load(config, config.train_manifest, config.modalities)
     b = _load(config, config.test_manifest, config.modalities)
-    shift = config.shift.chosen_frames[config.dimension]
-    override = config.shift.cross_overrides.get(config.dimension)
+    shift = config.chosen_frames[config.dimension]
+    override = config.cross_overrides.get(config.dimension)
     directions = [(a, b), (b, a)] if config.cross_both_directions else [(a, b)]
     tasks = []
     for corpus, (test_name, test_recs) in directions:

@@ -347,6 +347,8 @@ def _checked_input(spec: NetworkSpec, x: np.ndarray, targets=None) -> np.ndarray
             f"input width {x.shape[-1] if x.ndim == 2 else '?'} != "
             f"network input_dim {spec.input_dim}"
         )
+    if len(x) < 1:
+        raise DataError("input has no frames")
     if targets is not None and len(targets) != len(x):
         raise DataError(f"target length {len(targets)} != sequence length {len(x)}")
     return x
@@ -379,6 +381,7 @@ def bptt_gradients(
     grads.w_out[...] = last_h.T @ dy
     grads.theta[-1] = dy.sum()
     d_h = np.outer(dy, params.w_out)
+    del last_h  # the top layer's output, read by nothing in the backward pass
     for layer in reversed(range(len(caches))):  # layer 0's input gradient is never read
         d_h = _layer_backward(params.stacked[layer], caches.pop(), d_h, grads.stacked[layer],
                               layer > 0)

@@ -232,13 +232,19 @@ def _walk(value, rule, error: type, what: str, where: str, unknown: list[str]):
         raise error(f"{named} is invalid: {exc}") from exc
 
 
+def _where(convert, test, expected: str):
+    """convert, accepting only values whose result passes test (`expected` names them)."""
+    def check(value):
+        result = convert(value)
+        if not test(result):
+            raise ValueError(f"expected {expected}, got {value!r:.80}")
+        return result
+    return check
+
+
 def _typed(expected: str, *types):
     """A converter that accepts only values of exactly `types`: true is not 1, nor 3.0 an int."""
-    def check(value):
-        if type(value) not in types:
-            raise TypeError(f"expected {expected}, got {value!r:.80}")
-        return value
-    return check
+    return _where(lambda v: v, lambda v: type(v) in types, expected)
 
 
 _int = _typed("an integer", int)
@@ -254,10 +260,7 @@ def _float(value) -> float:
     return float(value)
 
 
-def _positive(value) -> float:
-    if not _float(value) > 0:
-        raise ValueError(f"expected a positive number, got {value!r:.80}")
-    return float(value)
+_positive = _where(_float, lambda v: v > 0, "a positive number")
 
 
 def _path(value) -> str:
@@ -271,11 +274,18 @@ def _path(value) -> str:
 
 def _one_of(*options):
     """A converter that accepts only `options`, each as its own type (1.0 and true are not 1)."""
-    def check(value):
-        if (type(value), value) not in [(type(o), o) for o in options]:
-            raise ValueError(f"expected {' or '.join(map(repr, options))}, got {value!r:.80}")
-        return value
-    return check
+    pairs = [(type(o), o) for o in options]
+    return _where(lambda v: v, lambda v: (type(v), v) in pairs, " or ".join(map(repr, options)))
+
+
+def _at_least(low, convert=_int):
+    """convert (an integer by default), accepting only results >= low."""
+    return _where(convert, lambda v: v >= low, f"at least {low}")
+
+
+def _distinct(convert):
+    """convert of a list, accepting only lists whose converted items all differ."""
+    return _where(convert, lambda v: len(set(v)) == len(v), "distinct values")
 
 
 def _list(convert, length=None):

@@ -52,9 +52,8 @@ def cross_shift_conversion(monkeypatch, train_manifest, test_manifest, dimension
         seeds=(7,),
         max_epochs=2,
         patience_epochs=1,
-        shift=experiments.ShiftSettings(
-            chosen_frames={dimension: chosen}, cross_overrides={dimension: override}
-        ),
+        chosen_frames={dimension: chosen},
+        cross_overrides={dimension: override},
     )
     _, [model] = experiments.run_cross_corpus(config)
     return model.metadata["shift_conversion"], sorted(applied)

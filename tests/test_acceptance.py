@@ -16,7 +16,6 @@ import gazeaffect.network as nw
 from gazeaffect.experiments import (
     ExperimentConfig,
     NetworkChoice,
-    ShiftSettings,
     relative_improvement,
     run_intra_corpus,
     run_shift_sweep,
@@ -202,11 +201,9 @@ def test_criterion_5_lag_recovery(tmp_path):
             seeds=(7,),
             max_epochs=25,
             patience_epochs=10,
-            shift=ShiftSettings(
-                anchor_frames={"arousal": 40, "valence": 40},
-                range_seconds=0.6,
-                stride_frames=3,
-            ),
+            anchor_frames={"arousal": 40, "valence": 40},
+            range_seconds=0.6,
+            stride_frames=3,
             window_seconds={"arousal": 1.0, "valence": 1.0},
         )
         _, best = run_shift_sweep(config, modality="speech")
@@ -233,7 +230,7 @@ def test_criterion_6_fusion_benefit(tmp_path):
                 seeds=(seed,),
                 max_epochs=30,
                 patience_epochs=10,
-                shift=ShiftSettings(chosen_frames={"arousal": 0, "valence": 0}),
+                chosen_frames={"arousal": 0, "valence": 0},
                 window_seconds={"arousal": 1.0, "valence": 1.0},
             )
             _, improvements = run_intra_corpus(config)

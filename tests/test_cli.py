@@ -364,10 +364,17 @@ class TestExperimentsCommands:
         [
             ({"networks": [{"kind": "gru", "sizes": [8]}]}, "unknown layer kind"),
             ({"training": {"max_epochs": 3, "patience_epochs": 3}}, "patience_epochs"),
-            ({"shift": {"chosen_frames": {"arousal": -3}}}, "'shift.chosen_frames'"),
-            ({"shift": {"cross_overrides": {"arousal": -3}}}, "'shift.cross_overrides'"),
+            pytest.param({"shift": {"chosen_frames": {"arousal": -3}}},
+                         "'shift.chosen_frames.arousal' is invalid: expected at least 0, got -3",
+                         id="extra2-'shift.chosen_frames'"),
+            pytest.param({"shift": {"cross_overrides": {"arousal": -3}}},
+                         "'shift.cross_overrides.arousal' is invalid: expected at least 0, got -3",
+                         id="extra3-'shift.cross_overrides'"),
             ({"cross_both_directions": "false"}, "'cross_both_directions'"),
-            ({"window_seconds": {"arousal": -1.0}}, "'window_seconds'"),
+            pytest.param({"window_seconds": {"arousal": -1.0}},
+                         "'window_seconds.arousal' is invalid: "
+                         "expected a positive number, got -1.0",
+                         id="extra5-'window_seconds'"),
             ({"shift": {"range_seconds": -0.5}}, "'shift.range_seconds'"),
             ({"modalities": "speech"}, "expected a list, got 'speech'"),
             ({"shift": {"stride_frames": 0}}, "'shift.stride_frames'"),
@@ -377,9 +384,11 @@ class TestExperimentsCommands:
             ({"window_seconds": {"valance": 6.0}}, "'window_seconds.valance'"),
             ({"networks": [{"kind": "lstm", "sizes": [4]}, {"kind": "lstm", "sizes": [6]}]},
              "'networks' needs distinct kinds"),
-            ({"jobs": 0}, "'jobs' needs jobs >= 1"),
-            ({"training": {"max_epochs": 3, "patience_epochs": 2, "seeds": [7, 7]}},
-             "'training.seeds' needs distinct values"),
+            pytest.param({"jobs": 0}, "'jobs' is invalid: expected at least 1, got 0",
+                         id="extra13-'jobs' needs jobs >= 1"),
+            pytest.param({"training": {"max_epochs": 3, "patience_epochs": 2, "seeds": [7, 7]}},
+                         "'training.seeds' is invalid: expected distinct values, got [7, 7]",
+                         id="extra14-'training.seeds' needs distinct values"),
         ],
     )
     def test_grid_value_exit_1_before_data(self, corpus_dir, tmp_path, capsys, extra, message):

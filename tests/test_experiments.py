@@ -29,7 +29,6 @@ from gazeaffect.experiments import (
     NetworkChoice,
     ResultRow,
     ResultsTable,
-    ShiftSettings,
     load_results_csv,
     relative_improvement,
     render_report,
@@ -67,12 +66,10 @@ def small_config(corpus_dir, **overrides):
         seeds=(7,),
         max_epochs=3,
         patience_epochs=2,
-        shift=ShiftSettings(
-            anchor_frames={"arousal": 6, "valence": 6},
-            chosen_frames={"arousal": 0, "valence": 0},
-            range_seconds=0.12,
-            stride_frames=3,
-        ),
+        anchor_frames={"arousal": 6, "valence": 6},
+        chosen_frames={"arousal": 0, "valence": 0},
+        range_seconds=0.12,
+        stride_frames=3,
         window_seconds={"arousal": 1.0, "valence": 1.0},
     )
     base.update(overrides)
@@ -84,8 +81,8 @@ class TestConfig:
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"train_manifest": str(corpus_dir / "manifest.json")}))
         config = ExperimentConfig.from_json(p)
-        assert config.shift.anchor_frames == {"arousal": 59, "valence": 78}
-        assert config.shift.chosen_frames == {"arousal": 69, "valence": 78}
+        assert config.anchor_frames == {"arousal": 59, "valence": 78}
+        assert config.chosen_frames == {"arousal": 69, "valence": 78}
         assert config.window_seconds == {"arousal": 4.0, "valence": 6.0}
         assert [(n.kind, n.sizes) for n in config.networks] == [
             ("blstm", (40, 30)),
@@ -103,7 +100,7 @@ class TestConfig:
             "window_seconds": {"valence": 2.0},
         }))
         config = ExperimentConfig.from_json(p)
-        assert config.shift.anchor_frames == {"arousal": 40, "valence": 78}
+        assert config.anchor_frames == {"arousal": 40, "valence": 78}
         assert config.window_seconds == {"arousal": 4.0, "valence": 2.0}
 
     def test_missing_file(self, tmp_path):
@@ -161,11 +158,14 @@ class TestConfig:
                          "shift.chosen_frames.arousal", id="extra15-shift.chosen_frames"),
             pytest.param({"shift": {"cross_overrides": {"arousal": False}}},
                          "shift.cross_overrides.arousal", id="extra16-shift.cross_overrides"),
-            ({"shift": {"chosen_frames": {"arousal": -3}}}, "shift.chosen_frames"),
-            ({"shift": {"cross_overrides": {"arousal": -1}}}, "shift.cross_overrides"),
+            pytest.param({"shift": {"chosen_frames": {"arousal": -3}}},
+                         "shift.chosen_frames.arousal", id="extra17-shift.chosen_frames"),
+            pytest.param({"shift": {"cross_overrides": {"arousal": -1}}},
+                         "shift.cross_overrides.arousal", id="extra18-shift.cross_overrides"),
             ({"cross_both_directions": "false"}, "cross_both_directions"),
             ({"cross_both_directions": 1}, "cross_both_directions"),
-            ({"window_seconds": {"arousal": 0}}, "window_seconds"),
+            pytest.param({"window_seconds": {"arousal": 0}}, "window_seconds.arousal",
+                         id="extra21-window_seconds"),
             pytest.param({"window_seconds": {"valence": float("nan")}}, "window_seconds.valence",
                          id="extra22-window_seconds"),
             ({"shift": {"range_seconds": -0.5}}, "shift.range_seconds"),
@@ -199,7 +199,8 @@ class TestConfig:
              "networks.0.dropout"),
             ({"networks": [{"kind": 4, "sizes": [4]}]}, "networks.0.kind"),
             ({"train_manifest": "m\udd00.json"}, "train_manifest"),
-            ({"shift": {"anchor_frames": {"arousal": -50}}}, "shift.anchor_frames"),
+            pytest.param({"shift": {"anchor_frames": {"arousal": -50}}},
+                         "shift.anchor_frames.arousal", id="extra50-shift.anchor_frames"),
         ],
     )
     def test_malformed_field_names_it(self, tmp_path, corpus_dir, extra, field):
@@ -238,9 +239,24 @@ class TestConfig:
         }
         config = ExperimentConfig.from_dict(doc, base=tmp_path)
         assert list(config.window_seconds.items()) == [("arousal", 4.0), ("valence", 2.0)]
-        assert list(config.shift.anchor_frames.items()) == [("arousal", 3), ("valence", 40)]
-        assert list(config.shift.chosen_frames.items()) == [("arousal", 69), ("valence", 78)]
-        assert list(config.shift.cross_overrides.items()) == [("valence", 1), ("arousal", None)]
+        assert list(config.anchor_frames.items()) == [("arousal", 3), ("valence", 40)]
+        assert list(config.chosen_frames.items()) == [("arousal", 69), ("valence", 78)]
+        assert list(config.cross_overrides.items()) == [("valence", 1), ("arousal", None)]
+
+    def test_code_built_config_round_trips(self, tmp_path, corpus_dir):
+        # to_dict is the document a config file would hold, and from_dict reads it back
+        config = small_config(
+            corpus_dir, test_manifest=corpus_dir / "manifest.json", out_dir=tmp_path / "out",
+            modalities=["gaze", "speech"], cross_overrides={"valence": 4, "arousal": None},
+            gaze_columns={"h": "gx"}, learning_rates=(1e-3, 1), jobs=2,
+            cross_both_directions=True,
+        )
+        doc = json.loads(json.dumps(config.to_dict()))
+        assert doc["shift"]["chosen_frames"] == {"arousal": 0, "valence": 0}
+        assert doc["networks"] == [{"kind": "lstm", "sizes": [8, 6]},
+                                   {"kind": "blstm", "sizes": [8, 6]}]
+        assert ExperimentConfig.from_dict(doc, base=tmp_path / "elsewhere") == config
+        assert config.modalities == ("gaze", "speech") and config.learning_rates == (1e-3, 1.0)
 
     @pytest.mark.parametrize("columns", [None, {"h": "gx"}])
     def test_gaze_columns_null_or_partial(self, tmp_path, corpus_dir, columns):
@@ -253,7 +269,7 @@ class TestConfig:
             "shift": {"cross_overrides": {"arousal": None, "valence": 4}},
         }
         config = ExperimentConfig.from_dict(doc, base=tmp_path)
-        assert config.shift.cross_overrides == {"arousal": None, "valence": 4}
+        assert config.cross_overrides == {"arousal": None, "valence": 4}
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -264,23 +280,49 @@ class TestConfig:
             (dict(learning_rates=(1e-3, 0.0)), "learning rate"),
             (dict(networks=(NetworkChoice("lstm", (4,)), NetworkChoice("lstm", (6,)))),
              "'networks' needs distinct kinds"),
-            (dict(jobs=0), "'jobs' needs jobs >= 1"),
-            (dict(modalities=("speech", "fused", "speech")), "'modalities' needs distinct values"),
-            (dict(learning_rates=(1e-3, 0.001)), "'training.learning_rates' needs distinct values"),
-            (dict(seeds=(7, 7)), r"'training.seeds' needs distinct values, got \[7, 7\]"),
-            (dict(shift=ShiftSettings(chosen_frames={"arousal": -3, "valence": 78})),
-             "'shift.chosen_frames' needs frames >= 0"),
-            (dict(shift=ShiftSettings(cross_overrides={"arousal": None, "valence": -1})),
-             "'shift.cross_overrides' needs frames >= 0"),
-            (dict(shift=ShiftSettings(anchor_frames={"arousal": -50})),
-             "'shift.anchor_frames' needs frames >= 0"),
+            pytest.param(dict(jobs=0), r"'jobs' is invalid: expected at least 1, got 0$",
+                         id="overrides5-'jobs' needs jobs >= 1"),
+            pytest.param(dict(modalities=("speech", "fused", "speech")),
+                         r"'modalities' is invalid: expected distinct values, "
+                         r"got \('speech', 'fused', 'speech'\)",
+                         id="overrides6-'modalities' needs distinct values"),
+            pytest.param(dict(learning_rates=(1e-3, 0.001)),
+                         r"'training.learning_rates' is invalid: expected distinct values, "
+                         r"got \(0.001, 0.001\)",
+                         id="overrides7-'training.learning_rates' needs distinct values"),
+            pytest.param(dict(seeds=(7, 7)),
+                         r"'training.seeds' is invalid: expected distinct values, got \(7, 7\)",
+                         id=r"overrides8-'training.seeds' needs distinct values, got \[7, 7\]"),
+            pytest.param(dict(chosen_frames={"arousal": -3, "valence": 78}),
+                         r"'shift.chosen_frames.arousal' is invalid: expected at least 0, got -3$",
+                         id="overrides9-'shift.chosen_frames' needs frames >= 0"),
+            pytest.param(dict(cross_overrides={"arousal": None, "valence": -1}),
+                         r"'shift.cross_overrides.valence' is invalid: expected at least 0, "
+                         r"got -1$", id="overrides10-'shift.cross_overrides' needs frames >= 0"),
+            pytest.param(dict(anchor_frames={"arousal": -50}),
+                         r"'shift.anchor_frames.arousal' is invalid: expected at least 0, got -50$",
+                         id="overrides11-'shift.anchor_frames' needs frames >= 0"),
             (dict(window_seconds={"Arousal": 4.0}),
              r"^unknown config field\(s\) 'window_seconds.Arousal'$"),
             (dict(gaze_columns={"h": "x", "bogus": "z"}),
              r"^unknown config field\(s\) 'gaze_columns.bogus'$"),
-            (dict(shift=ShiftSettings(chosen_frames={"valance": 3}, cross_overrides={"arousl": 1})),
+            (dict(chosen_frames={"valance": 3}, cross_overrides={"arousl": 1}),
              r"^unknown config field\(s\) 'shift.chosen_frames.valance', "
              r"'shift.cross_overrides.arousl'$"),
+            # a value built in code is read as a config file's: only its JSON types pass
+            (dict(stride_frames=2.5), r"'shift.stride_frames' is invalid: .* got 2.5$"),
+            (dict(jobs=1.5), r"'jobs' is invalid: .* got 1.5$"),
+            (dict(gaze_columns={"h": 3}), r"'gaze_columns.h' is invalid: .* got 3$"),
+            (dict(cross_overrides={"arousal": 3.7}),
+             r"'shift.cross_overrides.arousal' is invalid: .* got 3.7$"),
+            (dict(window_seconds={"arousal": "4"}),
+             r"'window_seconds.arousal' is invalid: .* got '4'$"),
+            (dict(learning_rates=(np.float64(1e-3),)),  # numpy 2 writes np.float64(0.001)
+             r"'training.learning_rates' is invalid: expected a number, got \S*0.001\)?$"),
+            (dict(seeds=(np.int64(7),)),
+             r"'training.seeds' is invalid: expected an integer, got \S*7\)?$"),
+            (dict(window_seconds=4.0), r"^config field 'window_seconds' must be a JSON object"),
+            (dict(train_manifest=3), r"'train_manifest' is invalid: expected a string, got 3$"),
         ],
     )
     def test_grid_values_are_config_errors(self, corpus_dir, overrides, message):
@@ -288,11 +330,11 @@ class TestConfig:
             small_config(corpus_dir, **overrides)
 
     def test_bad_dimension(self, corpus_dir):
-        with pytest.raises(ConfigError, match="dimension"):
+        with pytest.raises(ConfigError, match=r"'dimension' is invalid: .* got 'anger'$"):
             small_config(corpus_dir, dimension="anger")
 
     def test_bad_modality(self, corpus_dir):
-        with pytest.raises(ConfigError, match="modality"):
+        with pytest.raises(ConfigError, match=r"'modalities' is invalid: .* got 'video'$"):
             small_config(corpus_dir, modalities=("speech", "video"))
 
     def test_empty_grid(self, corpus_dir):
@@ -302,10 +344,7 @@ class TestConfig:
 
 class TestSweepGrid:
     def test_default_grid_covers_anchor_band(self, corpus_dir):
-        config = small_config(
-            corpus_dir,
-            shift=ShiftSettings(range_seconds=1.0, stride_frames=3),
-        )
+        config = ExperimentConfig(train_manifest=corpus_dir / "manifest.json")
         shifts = sweep_shifts(config, 25.0, 200)
         # the grid reaches within one stride of both edges of the 59 +/- 25 band
         assert 59 - 25 <= min(shifts) < 59 - 25 + 3
@@ -316,11 +355,9 @@ class TestSweepGrid:
     def test_clamped_at_zero(self, corpus_dir):
         config = small_config(
             corpus_dir,
-            shift=ShiftSettings(
-                anchor_frames={"arousal": 2, "valence": 2},
-                range_seconds=1.0,
-                stride_frames=5,
-            ),
+            anchor_frames={"arousal": 2, "valence": 2},
+            range_seconds=1.0,
+            stride_frames=5,
         )
         shifts = sweep_shifts(config, 25.0, 200)
         assert shifts[0] == 0
@@ -329,24 +366,20 @@ class TestSweepGrid:
     def test_stride_beyond_range_single_anchor(self, corpus_dir):
         config = small_config(
             corpus_dir,
-            shift=ShiftSettings(
-                anchor_frames={"arousal": 50, "valence": 50},
-                range_seconds=0.2,
-                stride_frames=6,
-            ),
+            anchor_frames={"arousal": 50, "valence": 50},
+            range_seconds=0.2,
+            stride_frames=6,
         )
         assert sweep_shifts(config, 25.0, 200) == [50]
 
     def test_anchor_always_in_grid(self, corpus_dir):
         for stride in (1, 2, 3, 7, 100):
-            config = small_config(
-                corpus_dir,
-                shift=ShiftSettings(range_seconds=1.0, stride_frames=stride),
-            )
+            config = ExperimentConfig(train_manifest=corpus_dir / "manifest.json",
+                                      stride_frames=stride)
             assert 59 in sweep_shifts(config, 25.0, 200)
 
     def test_default_grid(self, corpus_dir):
-        config = small_config(corpus_dir, shift=ShiftSettings())
+        config = ExperimentConfig(train_manifest=corpus_dir / "manifest.json")
         assert sweep_shifts(config, 25.0, 7500) == list(range(35, 84, 3))
 
     @settings(max_examples=300, deadline=None)
@@ -357,8 +390,7 @@ class TestSweepGrid:
     def test_matches_enumerated_grid(self, anchor, stride, range_seconds, fps, trace_frames):
         config = ExperimentConfig(
             train_manifest=Path("manifest.json"),
-            shift=ShiftSettings(anchor_frames={"arousal": anchor}, range_seconds=range_seconds,
-                                stride_frames=stride),
+            anchor_frames={"arousal": anchor}, range_seconds=range_seconds, stride_frames=stride,
         )
         steps = int(round(range_seconds * fps)) // stride
         grid = sorted({max(0, anchor + k * stride) for k in range(-steps, steps + 1)})
@@ -374,9 +406,9 @@ class TestSweepGrid:
         # a valence config whose anchors name only arousal sweeps the protocol's valence band
         config = ExperimentConfig(
             train_manifest=Path("manifest.json"), dimension="valence",
-            shift=ShiftSettings(anchor_frames={"arousal": 5}, range_seconds=0.12),
+            anchor_frames={"arousal": 5}, range_seconds=0.12,
         )
-        assert config.shift.anchor_frames == {"arousal": 5, "valence": 78}
+        assert config.anchor_frames == {"arousal": 5, "valence": 78}
         assert sweep_shifts(config, 25.0, 200) == [75, 78, 81]
 
     @pytest.mark.parametrize("range_seconds", [1e5, 1e300, 1.7e308])
@@ -384,7 +416,7 @@ class TestSweepGrid:
         # 1.7e308 s is finite, but not in frames: range_seconds * fps overflows to inf
         config = small_config(
             corpus_dir,
-            shift=ShiftSettings(anchor_frames={"arousal": 5}, range_seconds=range_seconds),
+            anchor_frames={"arousal": 5}, range_seconds=range_seconds,
         )
         with pytest.raises(DataError, match=r"^shift of 62 frames >= trace length 60$"):
             sweep_shifts(config, 25.0, 60)
@@ -575,7 +607,7 @@ class TestCrossCorpus:
             test_manifest=corpus_30fps / "manifest.json",
             modalities=("speech", "gaze"),
             networks=(NetworkChoice("lstm", (4,)),),
-            shift=ShiftSettings(chosen_frames={"arousal": 7}),
+            chosen_frames={"arousal": 7},
             cross_both_directions=True,
         )
         table, models = run_cross_corpus(config)
@@ -608,7 +640,7 @@ class TestCrossCorpus:
             corpus_dir,
             test_manifest=corpus_30fps / "manifest.json",
             modalities=("speech",),
-            shift=ShiftSettings(chosen_frames={"arousal": 10**400}),
+            chosen_frames={"arousal": 10**400},
         )
         with pytest.raises(DataError, match=r"^shift of 10{400} frames >= trace length 200$"):
             run_cross_corpus(config)
@@ -778,7 +810,7 @@ class TestGridExecution:
             test_manifest=corpus_30fps / "manifest.json",
             modalities=("speech",),
             networks=(NetworkChoice("lstm", (8,)),),
-            shift=ShiftSettings(chosen_frames={"arousal": 5, "valence": 5}),
+            chosen_frames={"arousal": 5, "valence": 5},
             cross_both_directions=True,
         )
         table, models = run_cross_corpus(config)

@@ -201,6 +201,24 @@ class TestForward:
         with pytest.raises(DataError):
             predict(params, spec, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("kind", ["lstm", "blstm"])
+    def test_zero_frames(self, kind):
+        # a (0, D) input once ended in a ZeroDivisionError inside the layer loop
+        spec = small_spec(kind, (4, 2))
+        params = init_network(spec, 0)
+        empty, one = (np.zeros((0, 5)), np.zeros(0)), (np.zeros((3, 5)), np.zeros(3))
+        config = TrainConfig(learning_rate=1e-3, seed=1, max_epochs=3, patience_epochs=2)
+        calls = [
+            lambda: predict(params, spec, empty[0]),
+            lambda: bptt_gradients(params, spec, *empty),
+            lambda: nw.evaluate_sse(params, spec, [one, empty]),
+            lambda: train_network(spec, [one, empty], [one], config),
+            lambda: train_network(spec, [one], [empty], config),
+        ]
+        for call in calls:
+            with pytest.raises(DataError, match=r"^input has no frames$"):
+                call()
+
     def test_single_frame_blstm_matches_lstm(self):
         # Both directions of a single-frame BLSTM see exactly that frame and
         # each equals an LSTM step with the matched per-direction parameters.
@@ -421,6 +439,29 @@ class TestGradients:
         rng = np.random.default_rng(4)
         bptt_gradients(params, spec, rng.normal(size=(12, 5)), rng.normal(size=12))
         assert alive == [[False] * 3] * 2
+
+    def test_top_output_freed_before_backward(self, monkeypatch):
+        # The top layer's output (a joined copy for a BLSTM) is read by the
+        # readout and w_out's gradient only, so it is gone by the time the top
+        # layer's backward pass starts.
+        forward, backward = nw._layer_forward, nw._layer_backward
+        outputs, alive = [], []
+
+        def recording_forward(dw, x):
+            out, cache = forward(dw, x)
+            outputs.append(weakref.ref(out))
+            return out, cache
+
+        def recording_backward(dw, cache, d_out, grad, input_grad):
+            alive.append(outputs[-1]() is not None)
+            return backward(dw, cache, d_out, grad, input_grad)
+
+        monkeypatch.setattr(nw, "_layer_forward", recording_forward)
+        monkeypatch.setattr(nw, "_layer_backward", recording_backward)
+        spec = small_spec("blstm", (8, 6))
+        rng = np.random.default_rng(4)
+        bptt_gradients(init_network(spec, 0), spec, rng.normal(size=(12, 5)), rng.normal(size=12))
+        assert alive[0] is False
 
     def test_each_cache_freed_after_its_layer(self, monkeypatch):
         # BPTT keeps every layer's cache through the forward pass, then frees
